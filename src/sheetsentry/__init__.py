@@ -55,6 +55,7 @@ from .graph import (
     topo_order,
 )
 from .metrics import (
+    Analysis,
     ErrorModel,
     ScriptMetrics,
     WorkbookMetrics,

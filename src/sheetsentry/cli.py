@@ -3,19 +3,21 @@
 Subcommands: ``audit`` (full report), ``metrics`` (metrics only),
 ``graph`` (dependency graph, optionally as DOT), and ``explain`` (rule
 documentation). Exit codes: 0 when no finding reaches the ``--fail-on``
-severity, 1 when one does, 2 on load/parse failures or bad usage.
+severity, 1 when one does, 2 on load/parse failures, bad usage or an
+internal error. Exit code 1 never means a crash.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 from .errors import SheetSentryError
 from .graph import build_graph, to_dot
 from .metrics import DEFAULT_ERROR_RATE, compute_metrics
-from .report import audit_workbook, render_json, render_text
+from .report import audit_workbook, metrics_table, metrics_to_dict, render_json, render_text
 from .rules import RULES, RuleConfig, Severity
 from .version import VERSION
 from .workbook import load_workbook
@@ -87,30 +89,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    wb = load_workbook(args.file)
-    metrics = compute_metrics(wb, p=args.p)
+    metrics = compute_metrics(load_workbook(args.file), p=args.p)
     if args.format == "json":
-        import json
-
-        doc = {
-            "workbook": args.file,
-            "formula_cells": metrics.formula_cells,
-            "unique_formulae": metrics.unique_formulae,
-            "error_probability": metrics.error_probability,
-            "error_probability_pct": metrics.error_probability_pct,
-            "max_branching": metrics.max_branching,
-            "external_link_count": metrics.external_link_count,
-            "script_lines_total": metrics.script_lines_total,
-            "cost_estimate": metrics.cost_estimate,
-        }
+        doc = {"workbook": args.file, **metrics_to_dict(metrics)}
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
-        header = f"{'Formula cells':>15}  {'Unique formulae':>16}  {'Error probability':>18}"
-        row = (
-            f"{metrics.formula_cells:>15,}  {metrics.unique_formulae:>16,}  "
-            f"{f'{metrics.error_probability_pct}%':>18}"
-        )
-        sys.stdout.write(f"{header}\n{row}\n")
+        sys.stdout.write(metrics_table(metrics) + "\n")
     return 0
 
 
@@ -168,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_explain(args)
     except SheetSentryError as exc:
         sys.stderr.write(f"sheetsentry: {exc}\n")
+        return 2
+    except Exception as exc:
+        sys.stderr.write(f"sheetsentry: internal error: {type(exc).__name__}: {exc}\n")
         return 2
     raise AssertionError("unreachable")
 

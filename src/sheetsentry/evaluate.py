@@ -17,12 +17,11 @@ from staleness entries and reported separately.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownNodeError
+from .errors import UnknownNodeError
 from .formula import (
     Binary,
     BoolLit,
@@ -35,9 +34,9 @@ from .formula import (
     Reference,
     TextLit,
     Unary,
-    parse_formula,
+    parse_all_formulas,
 )
-from .graph import DepGraph, build_graph
+from .graph import DepGraph, build_graph, schedule
 from .workbook import (
     BLANK,
     CellAddress,
@@ -58,19 +57,6 @@ _CIRC = CellValue.error("#CIRC!")
 
 _TRUE = CellValue.boolean(True)
 _FALSE = CellValue.boolean(False)
-
-
-def parse_all_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
-    """Parse every formula cell once; raises ParseError naming the cell."""
-    asts: dict[CellAddress, FormulaAst] = {}
-    for addr, cell in wb.iter_cells():
-        if cell.formula is None:
-            continue
-        try:
-            asts[addr] = parse_formula(cell.formula)
-        except ParseError as exc:
-            raise ParseError(f"{addr.qualified()}: {exc}", exc.offset, exc.expected) from exc
-    return asts
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,56 +105,24 @@ class Engine:
 
         ``tie_break`` selects which ready node a topological step prefers
         ("min" or "max" address order); any choice yields identical values,
-        which the test suite exercises.
+        which the test suite exercises. Formula cells on a reference cycle
+        get ``#CIRC!`` before anything downstream of them is evaluated.
         """
         if self._ran:
             return
         g = self.graph
-        preds, deps = g._preds, g._deps
         if tie_break == "min":
             key = g.sort_key
         else:
             def key(node):
                 return tuple(-x for x in g.sort_key(node))
 
-        indegree = {node: len(ps) for node, ps in preds.items()}
-        heap = [(key(n), n) for n, d in indegree.items() if d == 0]
-        heapq.heapify(heap)
-        processed = 0
-        while heap:
-            _, node = heapq.heappop(heap)
-            processed += 1
+        order, in_cycle = schedule(g, key)
+        for node in in_cycle:
+            if node in self.asts:
+                self.values[node] = _CIRC
+        for node in order:
             self._eval_node(node)
-            for dst in deps[node]:
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    heapq.heappush(heap, (key(dst), dst))
-
-        if processed < len(indegree):
-            # the leftover nodes sit on or downstream of reference cycles
-            leftover = {n for n, d in indegree.items() if d > 0}
-            in_cycle = _cycle_members(deps, leftover)
-            for node in in_cycle:
-                if node in self.asts:
-                    self.values[node] = _CIRC
-            heap = []
-            for node in leftover - in_cycle:
-                remaining = sum(
-                    1 for p in preds[node] if p in leftover and p not in in_cycle
-                )
-                indegree[node] = remaining
-                if remaining == 0:
-                    heap.append((key(node), node))
-            heapq.heapify(heap)
-            while heap:
-                _, node = heapq.heappop(heap)
-                self._eval_node(node)
-                for dst in deps[node]:
-                    if dst in in_cycle or dst not in leftover:
-                        continue
-                    indegree[dst] -= 1
-                    if indegree[dst] == 0:
-                        heapq.heappush(heap, (key(dst), dst))
         self._ran = True
 
     def _eval_node(self, node) -> None:
@@ -533,59 +487,6 @@ class Engine:
         return _NA
 
 
-def _cycle_members(deps: dict, restrict: set) -> set:
-    """Nodes on cycles within the subgraph induced by ``restrict``
-    (iterative Tarjan; membership is order-independent)."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    members: set = set()
-    counter = 0
-    for root in restrict:
-        if root in index:
-            continue
-        work = [(root, iter(deps[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in restrict:
-                    continue
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(deps[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack and index[nxt] < lowlink[node]:
-                    lowlink[node] = index[nxt]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                if len(comp) > 1 or comp[0] in deps[comp[0]]:
-                    members.update(comp)
-    return members
-
-
 def _blank_as(kind: ValueKind) -> CellValue:
     if kind is ValueKind.NUMBER:
         return CellValue.number(0.0)
@@ -653,19 +554,14 @@ def evaluate_cell(wb: Workbook, g: DepGraph, addr: CellAddress) -> CellValue:
     return engine.value_of(addr)
 
 
-def recompute_workbook(
-    wb: Workbook,
-    asts: dict[CellAddress, FormulaAst] | None = None,
-    graph: DepGraph | None = None,
-    tie_break: str = "min",
-) -> dict[CellAddress, CellValue]:
+def recompute_workbook(wb: Workbook, tie_break: str = "min") -> dict[CellAddress, CellValue]:
     """Recompute every formula cell from the workbook's inputs.
 
     Returns a map from formula-cell address to recomputed value; cells on
     reference cycles map to ``#CIRC!``. Any valid evaluation order gives
     identical results (``tie_break`` picks one; see :meth:`Engine.run`).
     """
-    engine = Engine(wb, graph=graph, asts=asts)
+    engine = Engine(wb)
     engine.run(tie_break=tie_break)
     return dict(engine.values)
 

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import LexError, ParseError
-from .workbook import MAX_COL, MAX_ROW, letters_to_col, col_to_letters
+from .workbook import MAX_COL, MAX_ROW, CellAddress, Workbook, letters_to_col, col_to_letters
 
 SUPPORTED_FUNCTIONS = frozenset(
     {"IF", "SUM", "MIN", "MAX", "AND", "OR", "NOT", "ABS", "ROUND", "VLOOKUP", "COUNT", "AVERAGE"}
@@ -235,6 +235,19 @@ def parse_formula(src: str) -> FormulaAst:
     parser = _Parser(tokens)
     ast = parser.parse()
     return ast
+
+
+def parse_all_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
+    """Parse every formula cell once; raises ParseError naming the cell."""
+    asts: dict[CellAddress, FormulaAst] = {}
+    for addr, cell in wb.iter_cells():
+        if cell.formula is None:
+            continue
+        try:
+            asts[addr] = parse_formula(cell.formula)
+        except ParseError as exc:
+            raise ParseError(f"{addr.qualified()}: {exc}", exc.offset, exc.expected) from exc
+    return asts
 
 
 class _Parser:

@@ -7,20 +7,25 @@ covered cell up to a cap; a larger range becomes a single aggregate
 precedent queries. References into other workbooks never become edges;
 they are collected in the external-link inventory because the target
 lives outside this file's audit boundary.
+
+:func:`schedule` is the one scheduler: a Kahn loop that orders every node
+off the reference cycles and returns the cycle nodes beside that order.
+Both :func:`topo_order` and the recomputation engine use it; one iterative
+Tarjan (:func:`cyclic_components`) finds the cycles.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
-from .errors import ParseError, UnknownNodeError
+from .errors import UnknownNodeError
 from .formula import (
     FormulaAst,
     Reference,
     collect_references,
-    parse_formula,
+    parse_all_formulas,
     render_a1,
 )
 from .workbook import CellAddress, Workbook, col_to_letters
@@ -142,10 +147,13 @@ class DepGraph:
 def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None) -> DepGraph:
     """Build the dependency graph for a workbook.
 
-    Propagates :class:`ParseError` (naming the cell) if a formula does not
-    parse. References to sheets that do not exist produce no edges; the
+    ``asts`` is :func:`parse_all_formulas` output for ``wb``; without it the
+    workbook is parsed here, which raises :class:`ParseError` naming the
+    cell. References to sheets that do not exist produce no edges; the
     evaluator reports them as ``#REF!``.
     """
+    if asts is None:
+        asts = parse_all_formulas(wb)
     preds: dict[Node, set[Node]] = {}
     deps: dict[Node, set[Node]] = {}
     external_links: list[ExternalLink] = []
@@ -162,19 +170,8 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         deps[src].add(dst)
         preds[dst].add(src)
 
-    formula_addrs: list[CellAddress] = []
-    for addr, cell in wb.iter_cells():
-        if cell.formula is None:
-            continue
-        formula_addrs.append(addr)
+    for addr, ast in asts.items():
         ensure(addr)
-        if asts is not None and addr in asts:
-            ast = asts[addr]
-        else:
-            try:
-                ast = parse_formula(cell.formula)
-            except ParseError as exc:
-                raise ParseError(f"{addr.qualified()}: {exc}", exc.offset, exc.expected) from exc
         for ref in collect_references(ast):
             if isinstance(ref, Reference):
                 if ref.external is not None:
@@ -216,7 +213,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         per_sheet: dict[str, list[RangeNode]] = {}
         for node in big_ranges:
             per_sheet.setdefault(node.sheet.casefold(), []).append(node)
-        for addr in formula_addrs:
+        for addr in asts:
             for node in per_sheet.get(addr.sheet.casefold(), ()):
                 if node.covers(addr.col, addr.row):
                     add_edge(addr, node)
@@ -241,6 +238,43 @@ def _resolve_sheet(wb: Workbook, sheet: str | None, origin: CellAddress) -> str 
     return found.name if found is not None else None
 
 
+def schedule(g: DepGraph, key: Callable[[Node], tuple]) -> tuple[list[Node], set[Node]]:
+    """Evaluation order of every node that is not on a cycle, plus the cycle nodes.
+
+    A Kahn loop that pops the ready node with the smallest ``key``, so every
+    edge between two ordered nodes goes forward. When it stalls, the
+    remaining nodes sit on or downstream of cycles: the edges leaving cycle
+    nodes are released once and the loop goes on, so nodes downstream of a
+    cycle come after everything else they depend on.
+    """
+    deps = g._deps
+    indegree = {node: len(ps) for node, ps in g._preds.items()}
+    heap = [(key(n), n) for n, d in indegree.items() if d == 0]
+    heapq.heapify(heap)
+    order: list[Node] = []
+    in_cycle: set[Node] = set()
+
+    def release(node: Node) -> None:
+        for dst in deps[node]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0 and dst not in in_cycle:
+                heapq.heappush(heap, (key(dst), dst))
+
+    def drain() -> None:
+        while heap:
+            _, node = heapq.heappop(heap)
+            order.append(node)
+            release(node)
+
+    drain()
+    if len(order) < len(indegree):
+        in_cycle = cycle_nodes(g)
+        for node in in_cycle:
+            release(node)
+        drain()
+    return order, in_cycle
+
+
 def topo_order(g: DepGraph) -> list[Node] | CycleReport:
     """Topological order of the graph, or a :class:`CycleReport`.
 
@@ -249,20 +283,8 @@ def topo_order(g: DepGraph) -> list[Node] | CycleReport:
     lists every strongly connected component with two or more nodes or a
     self-loop.
     """
-    indegree = {node: len(g._preds[node]) for node in g._preds}
-    heap = [(g.sort_key(n), n) for n, d in indegree.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[Node] = []
-    while heap:
-        _, node = heapq.heappop(heap)
-        order.append(node)
-        for dst in g._deps[node]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                heapq.heappush(heap, (g.sort_key(dst), dst))
-    if len(order) < len(indegree):
-        return CycleReport(cyclic_components(g))
-    return order
+    order, in_cycle = schedule(g, g.sort_key)
+    return CycleReport(cyclic_components(g)) if in_cycle else order
 
 
 def cyclic_components(g: DepGraph) -> list[list[Node]]:

@@ -1,4 +1,10 @@
-"""Quantitative workbook measures.
+"""The workbook analysis and its quantitative measures.
+
+:class:`Analysis` holds every derived fact about one workbook -- formula
+ASTs, copy classes, dependency graph, staleness report, script metrics --
+and builds each at most once, on first use. Metrics and rules both read
+from it, so one audit parses each formula once and recomputes values only
+if something asks for staleness.
 
 The headline number is the chance that a workbook contains at least one
 formula error: with an error rate ``p`` per unique formula and ``n``
@@ -13,14 +19,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
-from .evaluate import parse_all_formulas
-from .formula import Binary, Call, FormulaAst, Range, Unary, walk
-from .graph import build_graph
-from .normalize import copy_classes
+from .evaluate import Engine, StalenessReport, staleness_report
+from .formula import Binary, Call, FormulaAst, Range, Unary, parse_all_formulas, walk
+from .graph import DepGraph, build_graph
+from .normalize import CopyClass, copy_classes
 from .workbook import CellAddress, ScriptModule, Workbook
-from .workbook import formula_cells as count_formula_cells
 
 DEFAULT_ERROR_RATE = 0.01
 
@@ -135,25 +141,17 @@ def formula_cost(ast: FormulaAst) -> int:
     return 1 + _node_cost(ast)
 
 
-def cell_costs(
-    wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None
-) -> dict[CellAddress, int]:
+def cell_costs(wb: Workbook) -> dict[CellAddress, int]:
     """Per-cell recalculation cost for every formula cell."""
-    if asts is None:
-        asts = parse_all_formulas(wb)
-    return {addr: formula_cost(ast) for addr, ast in asts.items()}
+    return {addr: formula_cost(ast) for addr, ast in parse_all_formulas(wb).items()}
 
 
-def recalc_cost(
-    wb: Workbook,
-    k: int = 10,
-    asts: dict[CellAddress, FormulaAst] | None = None,
-) -> tuple[int, list[tuple[CellAddress, int]]]:
+def recalc_cost(wb: Workbook, k: int = 10) -> tuple[int, list[tuple[CellAddress, int]]]:
     """Total modeled recalculation cost and the top-k most expensive cells.
 
     The top list is sorted by descending cost; ties break by address order.
     """
-    costs = cell_costs(wb, asts)
+    costs = cell_costs(wb)
     total = sum(costs.values())
     ranked = sorted(
         costs.items(), key=lambda kv: (-kv[1],) + wb.address_sort_key(kv[0])
@@ -220,38 +218,45 @@ def script_metrics(scripts: list[ScriptModule]) -> list[ScriptMetrics]:
     return [_module_metrics(module) for module in scripts]
 
 
-def compute_metrics(
-    wb: Workbook,
-    p: float = DEFAULT_ERROR_RATE,
-    asts: dict[CellAddress, FormulaAst] | None = None,
-    classes=None,
-    graph=None,
-) -> WorkbookMetrics:
-    """All workbook metrics in one pass.
+class Analysis:
+    """Everything derived from one workbook, each part built once, on first use."""
 
-    ``asts``, ``classes`` and ``graph`` may be supplied to reuse work the
-    audit pipeline has already done; they must come from the same workbook.
-    """
-    if asts is None:
-        asts = parse_all_formulas(wb)
-    if classes is None:
-        classes = copy_classes(wb, asts)
-    if graph is None:
-        graph = build_graph(wb, asts)
-    n = len(classes)
-    max_branching = 0
-    for ast in asts.values():
-        branches = branch_count(ast)
-        if branches > max_branching:
-            max_branching = branches
-    total_cost, _ = recalc_cost(wb, k=0, asts=asts)
-    scripts = script_metrics(wb.scripts)
+    def __init__(self, wb: Workbook) -> None:
+        self.wb = wb
+
+    @cached_property
+    def asts(self) -> dict[CellAddress, FormulaAst]:
+        return parse_all_formulas(self.wb)
+
+    @cached_property
+    def classes(self) -> list[CopyClass]:
+        return copy_classes(self.wb, self.asts)
+
+    @cached_property
+    def graph(self) -> DepGraph:
+        return build_graph(self.wb, self.asts)
+
+    @cached_property
+    def staleness(self) -> StalenessReport:
+        return staleness_report(self.wb, Engine(self.wb, graph=self.graph, asts=self.asts))
+
+    @cached_property
+    def scripts(self) -> list[ScriptMetrics]:
+        return script_metrics(self.wb.scripts)
+
+
+def compute_metrics(
+    source: Workbook | Analysis, p: float = DEFAULT_ERROR_RATE
+) -> WorkbookMetrics:
+    """All workbook metrics; never recomputes cell values."""
+    a = source if isinstance(source, Analysis) else Analysis(source)
+    n = len(a.classes)
     return WorkbookMetrics(
-        formula_cells=count_formula_cells(wb),
+        formula_cells=len(a.asts),
         unique_formulae=n,
         error_probability=error_probability(p, n),
-        max_branching=max_branching,
-        external_link_count=len(graph.external_links),
-        script_lines_total=sum(s.lines for s in scripts),
-        cost_estimate=total_cost,
+        max_branching=max(map(branch_count, a.asts.values()), default=0),
+        external_link_count=len(a.graph.external_links),
+        script_lines_total=sum(s.lines for s in a.scripts),
+        cost_estimate=sum(map(formula_cost, a.asts.values())),
     )

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
 from .formula import (
     FormulaAst,
     RangeRef,
     Reference,
-    parse_formula,
+    parse_all_formulas,
     render_ast,
 )
 from .workbook import CellAddress, Workbook
@@ -118,22 +117,14 @@ def copy_classes(
 
     Classes are pooled across sheets and keyed by normalized text. The
     result is ordered by each class's first member (sheet order, row,
-    column). Raises :class:`ParseError` naming the offending cell if a
-    formula does not parse.
+    column). ``asts`` is :func:`parse_all_formulas` output for ``wb``;
+    without it the workbook is parsed here, which raises
+    :class:`ParseError` naming the offending cell.
     """
+    if asts is None:
+        asts = parse_all_formulas(wb)
     groups: dict[str, list[CellAddress]] = {}
-    for addr, cell in wb.iter_cells():
-        if cell.formula is None:
-            continue
-        if asts is not None and addr in asts:
-            ast = asts[addr]
-        else:
-            try:
-                ast = parse_formula(cell.formula)
-            except ParseError as exc:
-                raise ParseError(
-                    f"{addr.qualified()}: {exc}", exc.offset, exc.expected
-                ) from exc
+    for addr, ast in asts.items():
         groups.setdefault(normalize(ast, addr).text, []).append(addr)
     classes = [
         CopyClass(NormalizedFormula(text), tuple(members))
@@ -143,8 +134,6 @@ def copy_classes(
     return classes
 
 
-def unique_formula_count(
-    wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None
-) -> int:
+def unique_formula_count(wb: Workbook) -> int:
     """The workbook's unique-formula count: its number of copy classes."""
-    return len(copy_classes(wb, asts))
+    return len(copy_classes(wb))

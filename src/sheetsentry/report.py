@@ -13,10 +13,9 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .evaluate import Engine, StalenessEntry, staleness_report
+from .evaluate import StalenessEntry
 from .graph import ExternalLink
-from .metrics import DEFAULT_ERROR_RATE, WorkbookMetrics, compute_metrics, script_metrics
-from .normalize import copy_classes
+from .metrics import DEFAULT_ERROR_RATE, Analysis, WorkbookMetrics, compute_metrics
 from .rules import Category, Finding, RuleConfig, Severity, run_rules
 from .version import VERSION
 from .workbook import (
@@ -83,23 +82,10 @@ def audit_workbook(
     if cfg is None:
         cfg = RuleConfig()
 
-    engine = Engine(wb)
-    asts = engine.asts
-    graph = engine.graph
-    classes = copy_classes(wb, asts)
-    staleness = staleness_report(wb, engine=engine)
-    scripts = script_metrics(wb.scripts)
-    metrics = compute_metrics(wb, p=p, asts=asts, classes=classes, graph=graph)
-    findings = run_rules(
-        wb,
-        graph,
-        classes,
-        metrics,
-        cfg,
-        staleness=staleness,
-        scripts_metrics=scripts,
-        asts=asts,
-    )
+    analysis = Analysis(wb)
+    metrics = compute_metrics(analysis, p=p)
+    findings = run_rules(analysis, cfg)
+    staleness = analysis.staleness
 
     stale_entries = tuple(
         StalenessEntry(
@@ -117,7 +103,7 @@ def audit_workbook(
         findings=tuple(_canonical_finding(f) for f in findings),
         stale_entries=stale_entries,
         external_exclusions=tuple(staleness.external_exclusions),
-        external_links=tuple(graph.external_links),
+        external_links=tuple(analysis.graph.external_links),
         config=cfg,
     )
 
@@ -146,22 +132,27 @@ def _value_from_json(value: Any) -> CellValue:
     return CellValue.error(value["err"])
 
 
+def metrics_to_dict(m: WorkbookMetrics) -> dict[str, Any]:
+    """Plain-data form of the metrics, in canonical key order."""
+    return {
+        "formula_cells": m.formula_cells,
+        "unique_formulae": m.unique_formulae,
+        "error_probability": m.error_probability,
+        "error_probability_pct": m.error_probability_pct,
+        "max_branching": m.max_branching,
+        "external_link_count": m.external_link_count,
+        "script_lines_total": m.script_lines_total,
+        "cost_estimate": m.cost_estimate,
+    }
+
+
 def report_to_dict(report: AuditReport) -> dict[str, Any]:
     """Plain-data form of a report, in canonical key order."""
     return {
         "workbook": report.workbook,
         "tool_version": report.tool_version,
         "error_rate_p": report.error_rate_p,
-        "metrics": {
-            "formula_cells": report.metrics.formula_cells,
-            "unique_formulae": report.metrics.unique_formulae,
-            "error_probability": report.metrics.error_probability,
-            "error_probability_pct": report.metrics.error_probability_pct,
-            "max_branching": report.metrics.max_branching,
-            "external_link_count": report.metrics.external_link_count,
-            "script_lines_total": report.metrics.script_lines_total,
-            "cost_estimate": report.metrics.cost_estimate,
-        },
+        "metrics": metrics_to_dict(report.metrics),
         "findings": [
             {
                 "rule_id": f.rule_id,
@@ -270,6 +261,13 @@ def report_from_json(text: str) -> AuditReport:
 # --- text ------------------------------------------------------------------
 
 
+def metrics_table(m: WorkbookMetrics) -> str:
+    """The two-line headline table: formula cells, unique formulae, error probability."""
+    header = f"{'Formula cells':>15}  {'Unique formulae':>16}  {'Error probability':>18}"
+    row = f"{m.formula_cells:>15,}  {m.unique_formulae:>16,}  {f'{m.error_probability_pct}%':>18}"
+    return f"{header}\n{row}"
+
+
 def render_text(report: AuditReport) -> str:
     """Human-readable report: metrics summary, then findings by category."""
     lines: list[str] = []
@@ -279,10 +277,7 @@ def render_text(report: AuditReport) -> str:
     lines.append("")
 
     m = report.metrics
-    header = f"{'Formula cells':>15}  {'Unique formulae':>16}  {'Error probability':>18}"
-    row = f"{m.formula_cells:>15,}  {m.unique_formulae:>16,}  {f'{m.error_probability_pct}%':>18}"
-    lines.append(header)
-    lines.append(row)
+    lines.append(metrics_table(m))
     lines.append("")
     lines.append(f"error rate per unique formula (p): {report.error_rate_p:g}")
     lines.append(f"max conditional branches:          {m.max_branching}")
@@ -315,8 +310,3 @@ def render_text(report: AuditReport) -> str:
         lines.pop()
     return "\n".join(lines) + "\n"
 
-
-def worst_severity(report: AuditReport) -> Severity | None:
-    if not report.findings:
-        return None
-    return max(f.severity for f in report.findings)

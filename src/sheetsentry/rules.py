@@ -18,10 +18,10 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .errors import FormatError, IoError
-from .evaluate import StalenessReport, staleness_report
-from .formula import Call, FormulaAst, NumberLit, Unary, parse_formula, tokenize, walk
+from .evaluate import StalenessReport
+from .formula import Call, NumberLit, Unary, tokenize, walk
 from .graph import DepGraph
-from .metrics import ScriptMetrics, branch_count, formula_cost, script_metrics
+from .metrics import Analysis, ScriptMetrics, branch_count, formula_cost
 from .normalize import CopyClass
 from .workbook import CalcMode, CellAddress, Manifest, Workbook, WorkbookSettings
 
@@ -570,45 +570,23 @@ def check_script_quality(
     return findings
 
 
-def run_rules(
-    wb: Workbook,
-    g: DepGraph,
-    classes: list[CopyClass],
-    metrics,
-    cfg: RuleConfig,
-    staleness: StalenessReport | None = None,
-    scripts_metrics: list[ScriptMetrics] | None = None,
-    asts: dict[CellAddress, FormulaAst] | None = None,
-) -> list[Finding]:
+def run_rules(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     """Run every enabled rule and return findings sorted by severity
-    (descending), then rule id, then first location.
-
-    ``staleness``, ``scripts_metrics`` and ``asts`` may be passed in to
-    reuse the audit pipeline's work; when omitted they are computed here.
-    """
-    if staleness is None:
-        staleness = staleness_report(wb)
-    if scripts_metrics is None:
-        scripts_metrics = script_metrics(wb.scripts)
-    asts_by_class = {}
-    for cls in classes:
-        rep = cls.representative
-        if asts is not None and rep in asts:
-            asts_by_class[cls.normalized.text] = asts[rep]
-        else:
-            asts_by_class[cls.normalized.text] = parse_formula(wb.cell(rep).formula)
+    (descending), then rule id, then first location."""
+    wb, classes = analysis.wb, analysis.classes
+    asts_by_class = {cls.normalized.text: analysis.asts[cls.representative] for cls in classes}
 
     findings: list[Finding] = []
     findings.extend(check_spec_presence(wb.manifest))
-    findings.extend(check_stale_values(staleness))
-    findings.extend(check_external_links(g, wb.manifest, wb))
+    findings.extend(check_stale_values(analysis.staleness))
+    findings.extend(check_external_links(analysis.graph, wb.manifest, wb))
     findings.extend(check_calc_mode(wb.settings))
     findings.extend(check_hardcoded_constant(classes, cfg, asts_by_class))
     findings.extend(check_deep_nesting(classes, cfg, asts_by_class))
     findings.extend(check_long_formula(wb, classes, cfg))
     findings.extend(check_copy_class_holes(wb, classes, cfg))
     findings.extend(check_lookup_hotspots(classes, cfg, asts_by_class))
-    findings.extend(check_script_quality(scripts_metrics, cfg))
+    findings.extend(check_script_quality(analysis.scripts, cfg))
 
     findings = [f for f in findings if f.rule_id in cfg.enabled]
 

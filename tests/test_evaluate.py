@@ -12,7 +12,7 @@ from sheetsentry.evaluate import (
     recompute_workbook,
     staleness_report,
 )
-from sheetsentry.graph import build_graph
+from sheetsentry.graph import CycleReport, build_graph, schedule, topo_order
 from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
 
 from conftest import addr, make_workbook
@@ -197,6 +197,72 @@ class TestWorkbookRecompute:
             assert set(engine_values) == set(oracle_values)
             for address, expected in oracle_values.items():
                 assert engine_to_plain(engine_values[address]) == expected, address
+
+
+CYCLE_CASES = {
+    # formula cells between the two cycles and after the second one
+    "two_cycles_in_series": (
+        {
+            "A1": 1,
+            "B1": "=A1+C1",
+            "C1": "=B1*2",
+            "D1": "=C1+1",
+            "E1": "=D1+F1",
+            "F1": "=E1-1",
+            "G1": "=F1*3",
+            "H1": "=A1+1",
+        },
+        [["B1", "C1"], ["E1", "F1"]],
+    ),
+    # D1 reads both a cycle and the end of a plain input chain
+    "cycle_and_input_chain": (
+        {
+            "A1": 1,
+            "A2": "=A1+1",
+            "A3": "=A2*2",
+            "B1": "=C1+1",
+            "C1": "=B1+1",
+            "D1": "=A3+B1",
+            "D2": "=D1+A3",
+            "E1": "=A3*3",
+        },
+        [["B1", "C1"]],
+    ),
+    "self_loop": ({"A1": 2, "B1": "=B1+1", "C1": "=B1*A1", "D1": "=A1*3"}, [["B1"]]),
+}
+
+
+class TestCycleScheduling:
+    @pytest.mark.parametrize("name", list(CYCLE_CASES))
+    def test_matches_oracle_under_both_tie_breaks(self, name):
+        cells, _ = CYCLE_CASES[name]
+        wb = make_workbook({"S": cells})
+        values = recompute_workbook(wb, tie_break="min")
+        assert values == recompute_workbook(wb, tie_break="max")
+        oracle_values = oracle_evaluate(wb)
+        assert set(values) == set(oracle_values)
+        for address, expected in oracle_values.items():
+            assert engine_to_plain(values[address]) == expected, address
+
+    @pytest.mark.parametrize("name", list(CYCLE_CASES))
+    def test_topo_order_reports_components(self, name):
+        cells, components = CYCLE_CASES[name]
+        report = topo_order(build_graph(make_workbook({"S": cells})))
+        assert isinstance(report, CycleReport)
+        assert report.sccs == [[addr("S", a1) for a1 in comp] for comp in components]
+
+    @pytest.mark.parametrize("name", list(CYCLE_CASES))
+    def test_schedule_orders_everything_off_the_cycles(self, name):
+        cells, components = CYCLE_CASES[name]
+        g = build_graph(make_workbook({"S": cells}))
+        order, in_cycle = schedule(g, g.sort_key)
+        assert in_cycle == {addr("S", a1) for comp in components for a1 in comp}
+        assert set(order) | in_cycle == set(g.nodes)
+        assert len(order) + len(in_cycle) == g.node_count()
+        position = {node: i for i, node in enumerate(order)}
+        for src, dst in g.edges():
+            if src in position and dst in position:
+                assert position[src] < position[dst]
 
 
 class TestEvaluateCell:

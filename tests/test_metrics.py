@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetsentry.errors import DomainError
+from sheetsentry.evaluate import Engine
 from sheetsentry.formula import parse_formula
 from sheetsentry.metrics import (
     ErrorModel,
@@ -19,7 +21,8 @@ from sheetsentry.metrics import (
     recalc_cost,
     script_metrics,
 )
-from sheetsentry.workbook import ScriptModule, col_to_letters
+from sheetsentry.report import audit_workbook
+from sheetsentry.workbook import ScriptModule, col_to_letters, formula_cells, load_workbook
 
 from conftest import addr, make_workbook
 
@@ -255,6 +258,40 @@ class TestComputeMetrics:
         metrics = compute_metrics(wb)
         assert metrics.max_branching == 4
         assert metrics.external_link_count == 2
+
+
+def count_calls(monkeypatch, func) -> list[int]:
+    """Rebind every sheetsentry module's name for ``func`` to a counting wrapper."""
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sheetsentry" or name.startswith("sheetsentry."):
+            for alias, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, alias, counting)
+    return count
+
+
+class TestOnePassAnalysis:
+    def test_audit_parses_each_formula_once(self, fixtures_dir, monkeypatch):
+        wb = load_workbook(str(fixtures_dir / "all_rules.json"))
+        parses = count_calls(monkeypatch, parse_formula)
+        scripts = count_calls(monkeypatch, script_metrics)
+        audit_workbook(wb)
+        assert parses[0] == formula_cells(wb) > 0
+        assert scripts[0] == 1
+
+    def test_metrics_never_recompute_values(self, fixtures_dir, monkeypatch):
+        def forbidden(self, tie_break="min"):
+            raise AssertionError("compute_metrics recomputed cell values")
+
+        monkeypatch.setattr(Engine, "run", forbidden)
+        wb = load_workbook(str(fixtures_dir / "all_rules.json"))
+        assert compute_metrics(wb).formula_cells == formula_cells(wb)
 
 
 def synthetic_workbook(n_classes: int):

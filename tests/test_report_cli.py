@@ -240,6 +240,16 @@ class TestCliCommands:
         assert code == 2
         assert "S!B1" in capsys.readouterr().err
 
+    def test_internal_error_exits_two(self, fixtures_dir, capsys, monkeypatch):
+        # a crash must never share exit code 1 with "findings at --fail-on"
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("sheetsentry.cli.audit_workbook", crash)
+        code = main(["audit", str(fixtures_dir / "clean.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "sheetsentry: internal error: RuntimeError: boom\n"
+
 
 class TestSeverityThreshold:
     def test_exit_is_function_of_findings_and_threshold(self, fixtures_dir):
