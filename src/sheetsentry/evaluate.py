@@ -58,6 +58,13 @@ _CIRC = CellValue.error("#CIRC!")
 _TRUE = CellValue.boolean(True)
 _FALSE = CellValue.boolean(False)
 
+# mixed kinds order as number < text < boolean
+_KIND_RANK = {ValueKind.NUMBER: 0, ValueKind.TEXT: 1, ValueKind.BOOLEAN: 2}
+# the orders (-1, 0, 1) for which each comparison operator holds
+_HOLDS_FOR = {
+    "=": (0,), "<>": (-1, 1), "<": (-1,), "<=": (-1, 0), ">": (1,), ">=": (0, 1),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class StalenessEntry:
@@ -105,12 +112,13 @@ class Engine:
 
         ``tie_break`` selects which ready node a topological step prefers
         ("min" or "max" address order); any choice yields identical values,
-        which the test suite exercises. Formula cells on a reference cycle
-        get ``#CIRC!`` before anything downstream of them is evaluated.
+        which the test suite exercises. Only formula cells are scheduled
+        (:attr:`DepGraph.formulas`). Formula cells on a reference cycle get
+        ``#CIRC!`` before anything downstream of them is evaluated.
         """
         if self._ran:
             return
-        g = self.graph
+        g = self.graph.formulas
         if tie_break == "min":
             key = g.sort_key
         else:
@@ -122,16 +130,13 @@ class Engine:
             if node in self.asts:
                 self.values[node] = _CIRC
         for node in order:
-            self._eval_node(node)
+            ast = self.asts.get(node)
+            if ast is not None:
+                self._current_tainted = False
+                self.values[node] = self._eval(ast, node.sheet)
+                if self._current_tainted:
+                    self.tainted.add(node)
         self._ran = True
-
-    def _eval_node(self, node) -> None:
-        ast = self.asts.get(node) if type(node) is CellAddress else None
-        if ast is not None:
-            self._current_tainted = False
-            self.values[node] = self._eval(ast, node.sheet)
-            if self._current_tainted:
-                self.tainted.add(node)
 
     def value_of(self, addr: CellAddress) -> CellValue:
         """Recomputed value for any address (Blank for unstored cells)."""
@@ -191,7 +196,7 @@ class Engine:
 
     def _eval(self, node: FormulaAst, sheet: str) -> CellValue:
         if isinstance(node, NumberLit):
-            return CellValue.number(node.value)
+            return _finite(node.value)
         if isinstance(node, TextLit):
             return CellValue.text(node.value)
         if isinstance(node, BoolLit):
@@ -249,30 +254,26 @@ class Engine:
         if a is None or b is None:
             return _VALUE_ERR
         if op == "+":
-            return CellValue.number(a + b)
+            return _finite(a + b)
         if op == "-":
-            return CellValue.number(a - b)
+            return _finite(a - b)
         if op == "*":
-            return CellValue.number(a * b)
+            return _finite(a * b)
         if op == "/":
             if b == 0:
                 return _DIV0
-            return CellValue.number(a / b)
+            return _finite(a / b)
         if op == "^":
             if a == 0 and b < 0:
                 return _DIV0
             try:
-                result = math.pow(a, b)
+                return _finite(math.pow(a, b))
             except (ValueError, OverflowError):
                 return _VALUE_ERR
-            if not math.isfinite(result):
-                return _VALUE_ERR
-            return CellValue.number(result)
         raise ValueError(f"unknown operator {op!r}")
 
     @staticmethod
     def _compare(op: str, left: CellValue, right: CellValue) -> CellValue:
-        rank = {ValueKind.NUMBER: 0, ValueKind.TEXT: 1, ValueKind.BOOLEAN: 2}
         if left.kind is ValueKind.BLANK and right.kind is ValueKind.BLANK:
             order = 0
         else:
@@ -287,18 +288,9 @@ class Engine:
                     a, b = left.value, right.value
                 order = (a > b) - (a < b)
             else:
-                order = (rank[left.kind] > rank[right.kind]) - (
-                    rank[left.kind] < rank[right.kind]
-                )
-        result = {
-            "=": order == 0,
-            "<>": order != 0,
-            "<": order < 0,
-            "<=": order <= 0,
-            ">": order > 0,
-            ">=": order >= 0,
-        }[op]
-        return _TRUE if result else _FALSE
+                a, b = _KIND_RANK[left.kind], _KIND_RANK[right.kind]
+                order = (a > b) - (a < b)
+        return _TRUE if order in _HOLDS_FOR[op] else _FALSE
 
     # -- function calls
 
@@ -364,14 +356,16 @@ class Engine:
                         continue
                     return _VALUE_ERR
                 numbers.append(num)
-        if name == "SUM":
-            return CellValue.number(math.fsum(numbers))
         if name == "COUNT":
             return CellValue.number(float(len(numbers)))
-        if name == "AVERAGE":
-            if not numbers:
-                return _DIV0
-            return CellValue.number(math.fsum(numbers) / len(numbers))
+        if name == "AVERAGE" and not numbers:
+            return _DIV0
+        if name in ("SUM", "AVERAGE"):
+            try:
+                total = math.fsum(numbers)
+            except OverflowError:
+                return _VALUE_ERR
+            return CellValue.number(total if name == "SUM" else total / len(numbers))
         if not numbers:
             return CellValue.number(0.0)
         return CellValue.number(min(numbers) if name == "MIN" else max(numbers))
@@ -438,7 +432,10 @@ class Engine:
         digits = _to_number(digits_val)
         if num is None or digits is None:
             return _VALUE_ERR
-        return CellValue.number(_round_half_away(num, int(digits)))
+        try:
+            return CellValue.number(_round_half_away(num, int(digits)))
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return _VALUE_ERR
 
     def _fn_vlookup(self, args, sheet: str) -> CellValue:
         if len(args) not in (3, 4):
@@ -504,10 +501,17 @@ def _to_number(val: CellValue) -> float | None:
         return 1.0 if val.value else 0.0
     if val.kind is ValueKind.TEXT:
         try:
-            return float(val.value.strip())
+            num = float(val.value.strip())
         except ValueError:
             return None
+        # "nan", "inf" and "1e999" are not numbers a cell can hold
+        return num if math.isfinite(num) else None
     return None
+
+
+def _finite(x: float) -> CellValue:
+    """A number result, or ``#VALUE!`` (as for ``^`` overflow) if it is NaN or infinite."""
+    return CellValue.number(x) if math.isfinite(x) else _VALUE_ERR
 
 
 def _to_bool(val: CellValue) -> bool | None:

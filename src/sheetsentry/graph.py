@@ -1,12 +1,23 @@
 """Cell dependency graph -- precedents, dependents, cycles, ordering, DOT.
 
-Nodes are cell addresses (formula cells plus every referenced cell).
-Edges run precedent -> dependent. Range references expand to one edge per
-covered cell up to a cap; a larger range becomes a single aggregate
-:class:`RangeNode`, which keeps ordering sound while staying coarse for
-precedent queries. References into other workbooks never become edges;
-they are collected in the external-link inventory because the target
-lives outside this file's audit boundary.
+:func:`build_graph` keeps ranges compact: each formula cell maps to the
+cells and range rectangles (:class:`RangeNode`) it reads. Two views are
+built from that form lazily, each on first use:
+
+- The cell-level view behind the queries (precedents, dependents, edges,
+  DOT). Its nodes are formula cells plus every referenced cell, and its
+  edges run precedent -> dependent. A range expands to one edge per
+  covered cell up to a cap; a larger range stays a single aggregate
+  :class:`RangeNode`, which keeps ordering sound while staying coarse for
+  precedent queries.
+- :attr:`DepGraph.formulas`, the graph over formula cells alone. Ranges
+  are resolved to the formula cells inside them without being expanded,
+  so its size follows the formulas, not the area they read. The
+  recomputation engine schedules over it.
+
+References into other workbooks never become edges; they are collected
+in the external-link inventory because the target lives outside this
+file's audit boundary.
 
 :func:`schedule` is the one scheduler: a Kahn loop that orders every node
 off the reference cycles and returns the cycle nodes beside that order.
@@ -17,7 +28,9 @@ Tarjan (:func:`cyclic_components`) finds the cycles.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Union
 
 from .errors import UnknownNodeError
@@ -35,7 +48,11 @@ RANGE_EXPANSION_CAP = 100_000
 
 @dataclass(frozen=True, slots=True)
 class RangeNode:
-    """Aggregate node standing in for a range too large to expand."""
+    """A rectangle of cells on one sheet.
+
+    It is the compact form of a range reference, and in the cell-level view
+    the aggregate node standing in for a range too large to expand.
+    """
 
     sheet: str
     start_col: int
@@ -48,6 +65,9 @@ class RangeNode:
             f"{self.sheet}!{col_to_letters(self.start_col)}{self.start_row}:"
             f"{col_to_letters(self.end_col)}{self.end_row}"
         )
+
+    def size(self) -> int:
+        return (self.end_col - self.start_col + 1) * (self.end_row - self.start_row + 1)
 
     def covers(self, col: int, row: int) -> bool:
         return self.start_col <= col <= self.end_col and self.start_row <= row <= self.end_row
@@ -74,19 +94,86 @@ class CycleReport:
 
 
 class DepGraph:
-    """Immutable precedent/dependent graph over one workbook."""
+    """Precedent/dependent graph over one workbook.
+
+    Held compactly: each formula cell maps to the nodes it reads, one per
+    reference -- a :class:`CellAddress` for a cell reference, a
+    :class:`RangeNode` rectangle for a range. The cell-level view behind
+    the queries is expanded from that form on first use; :attr:`formulas`
+    resolves the same form to formula cells only.
+    """
 
     def __init__(
         self,
-        preds: dict[Node, list[Node]],
-        deps: dict[Node, list[Node]],
+        refs: dict[CellAddress, list[Node]],
         external_links: list[ExternalLink],
         sheet_rank: dict[str, int],
     ) -> None:
-        self._preds = preds
-        self._deps = deps
+        self._refs = refs
         self.external_links = external_links
         self._rank = sheet_rank
+
+    @cached_property
+    def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
+        return _expand(self._refs, self.sort_key)
+
+    @property
+    def _preds(self) -> dict[Node, list[Node]]:
+        return self._view[0]
+
+    @property
+    def _deps(self) -> dict[Node, list[Node]]:
+        return self._view[1]
+
+    @cached_property
+    def formulas(self) -> DepGraph:
+        """The graph over formula cells alone, which is all evaluation has to order.
+
+        It has an edge u -> v exactly when formula cell v reads formula cell
+        u, directly or through a range; the ranges are resolved by bisecting
+        the sorted rows of each (sheet, column) that holds formulas, so no
+        range is expanded and inputs and blanks never become nodes. Cycle
+        membership of formula cells is the same as in the full view.
+        """
+        rows: dict[tuple[str, int], list[int]] = {}
+        for addr in self._refs:
+            rows.setdefault((addr.sheet, addr.col), []).append(addr.row)
+        cols: dict[str, list[int]] = {}
+        for (sheet, col), col_rows in rows.items():
+            col_rows.sort()
+            cols.setdefault(sheet, []).append(col)
+        for sheet_cols in cols.values():
+            sheet_cols.sort()
+
+        key = self.sort_key
+        preds: dict[Node, list[Node]] = {}
+        deps: dict[Node, list[Node]] = {addr: [] for addr in self._refs}
+        for addr, reads in self._refs.items():
+            found: set[CellAddress] = set()
+            for node in reads:
+                if type(node) is CellAddress:
+                    if node in deps:
+                        found.add(node)
+                    continue
+                sheet_cols = cols.get(node.sheet, ())
+                lo = bisect_left(sheet_cols, node.start_col)
+                hi = bisect_right(sheet_cols, node.end_col)
+                for col in sheet_cols[lo:hi]:
+                    col_rows = rows[node.sheet, col]
+                    first = bisect_left(col_rows, node.start_row)
+                    last = bisect_right(col_rows, node.end_row)
+                    for row in col_rows[first:last]:
+                        found.add(CellAddress(node.sheet, col, row))
+            preds[addr] = sorted(found, key=key) if len(found) > 1 else list(found)
+            for src in found:
+                deps[src].append(addr)
+        for dsts in deps.values():
+            if len(dsts) > 1:
+                dsts.sort(key=key)
+        # each reference is now one formula cell, so the view is already built
+        graph = DepGraph(preds, self.external_links, self._rank)
+        graph._view = (preds, deps)
+        return graph
 
     # -- ordering helpers
 
@@ -149,14 +236,58 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
 
     ``asts`` is :func:`parse_all_formulas` output for ``wb``; without it the
     workbook is parsed here, which raises :class:`ParseError` naming the
-    cell. References to sheets that do not exist produce no edges; the
-    evaluator reports them as ``#REF!``.
+    cell. One walk over the references resolves their sheets and collects
+    the external links; ranges stay one :class:`RangeNode` each until a
+    query needs the cell-level view. References to sheets that do not exist
+    produce no edges; the evaluator reports them as ``#REF!``.
     """
     if asts is None:
         asts = parse_all_formulas(wb)
+    refs: dict[CellAddress, list[Node]] = {}
+    external_links: list[ExternalLink] = []
+    for addr, ast in asts.items():
+        reads: list[Node] = []
+        for ref in collect_references(ast):
+            if isinstance(ref, Reference):
+                if ref.external is not None:
+                    external_links.append(
+                        ExternalLink(addr, ref.external, ref.sheet or "", render_a1(
+                            Reference(ref.col, ref.row, ref.abs_col, ref.abs_row)))
+                    )
+                    continue
+                sheet = _resolve_sheet(wb, ref.sheet, addr)
+                if sheet is not None:
+                    reads.append(CellAddress(sheet, ref.col, ref.row))
+            else:
+                start, end = ref.start, ref.end
+                if start.external is not None:
+                    target = (
+                        f"{render_a1(Reference(start.col, start.row, start.abs_col, start.abs_row))}:"
+                        f"{render_a1(Reference(end.col, end.row, end.abs_col, end.abs_row))}"
+                    )
+                    external_links.append(
+                        ExternalLink(addr, start.external, start.sheet or "", target)
+                    )
+                    continue
+                sheet = _resolve_sheet(wb, start.sheet, addr)
+                if sheet is not None:
+                    reads.append(RangeNode(sheet, start.col, start.row, end.col, end.row))
+        refs[addr] = reads
+    rank = {sheet.name.casefold(): i for i, sheet in enumerate(wb.sheets)}
+    return DepGraph(refs, external_links, rank)
+
+
+def _expand(
+    refs: dict[CellAddress, list[Node]], key: Callable[[Node], tuple]
+) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
+    """Cell-level precedent and dependent lists of a graph's compact form.
+
+    A range expands to one edge per covered cell up to
+    :data:`RANGE_EXPANSION_CAP`; a larger one stays an aggregate
+    :class:`RangeNode` that every formula cell it covers feeds.
+    """
     preds: dict[Node, set[Node]] = {}
     deps: dict[Node, set[Node]] = {}
-    external_links: list[ExternalLink] = []
     big_ranges: dict[RangeNode, None] = {}
 
     def ensure(node: Node) -> None:
@@ -170,64 +301,33 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         deps[src].add(dst)
         preds[dst].add(src)
 
-    for addr, ast in asts.items():
+    for addr, reads in refs.items():
         ensure(addr)
-        for ref in collect_references(ast):
-            if isinstance(ref, Reference):
-                if ref.external is not None:
-                    external_links.append(
-                        ExternalLink(addr, ref.external, ref.sheet or "", render_a1(
-                            Reference(ref.col, ref.row, ref.abs_col, ref.abs_row)))
-                    )
-                    continue
-                sheet = _resolve_sheet(wb, ref.sheet, addr)
-                if sheet is None:
-                    continue
-                add_edge(CellAddress(sheet, ref.col, ref.row), addr)
+        for node in reads:
+            if type(node) is CellAddress:
+                add_edge(node, addr)
+            elif node.size() > RANGE_EXPANSION_CAP:
+                big_ranges[node] = None
+                add_edge(node, addr)
             else:
-                start, end = ref.start, ref.end
-                if start.external is not None:
-                    target = (
-                        f"{render_a1(Reference(start.col, start.row, start.abs_col, start.abs_row))}:"
-                        f"{render_a1(Reference(end.col, end.row, end.abs_col, end.abs_row))}"
-                    )
-                    external_links.append(
-                        ExternalLink(addr, start.external, start.sheet or "", target)
-                    )
-                    continue
-                sheet = _resolve_sheet(wb, start.sheet, addr)
-                if sheet is None:
-                    continue
-                size = (end.col - start.col + 1) * (end.row - start.row + 1)
-                if size > RANGE_EXPANSION_CAP:
-                    node = RangeNode(sheet, start.col, start.row, end.col, end.row)
-                    big_ranges[node] = None
-                    add_edge(node, addr)
-                else:
-                    for col in range(start.col, end.col + 1):
-                        for row in range(start.row, end.row + 1):
-                            add_edge(CellAddress(sheet, col, row), addr)
+                for col in range(node.start_col, node.end_col + 1):
+                    for row in range(node.start_row, node.end_row + 1):
+                        add_edge(CellAddress(node.sheet, col, row), addr)
 
     # aggregate range nodes depend on every formula cell they cover
     if big_ranges:
         per_sheet: dict[str, list[RangeNode]] = {}
         for node in big_ranges:
             per_sheet.setdefault(node.sheet.casefold(), []).append(node)
-        for addr in asts:
+        for addr in refs:
             for node in per_sheet.get(addr.sheet.casefold(), ()):
                 if node.covers(addr.col, addr.row):
                     add_edge(addr, node)
 
-    rank = {sheet.name.casefold(): i for i, sheet in enumerate(wb.sheets)}
-    graph = DepGraph({}, {}, external_links, rank)
-    key = graph.sort_key
-    graph._preds = {
-        n: sorted(s, key=key) if len(s) > 1 else list(s) for n, s in preds.items()
-    }
-    graph._deps = {
-        n: sorted(s, key=key) if len(s) > 1 else list(s) for n, s in deps.items()
-    }
-    return graph
+    def ordered(nodes: dict[Node, set[Node]]) -> dict[Node, list[Node]]:
+        return {n: sorted(s, key=key) if len(s) > 1 else list(s) for n, s in nodes.items()}
+
+    return ordered(preds), ordered(deps)
 
 
 def _resolve_sheet(wb: Workbook, sheet: str | None, origin: CellAddress) -> str | None:

@@ -8,11 +8,20 @@ import pytest
 
 from sheetsentry.errors import UnknownNodeError
 from sheetsentry.evaluate import (
+    Engine,
     evaluate_cell,
     recompute_workbook,
     staleness_report,
 )
-from sheetsentry.graph import CycleReport, build_graph, schedule, topo_order
+from sheetsentry.formula import parse_all_formulas
+from sheetsentry.graph import (
+    CycleReport,
+    RangeNode,
+    build_graph,
+    cycle_nodes,
+    schedule,
+    topo_order,
+)
 from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
 
 from conftest import addr, make_workbook
@@ -347,3 +356,137 @@ class TestStaleness:
                     rewritten[(col, row)] = cell
             wb2 = Workbook(sheets=[Sheet("S", rewritten)])
             assert staleness_report(wb2).entries == []
+
+
+class TestNonFinite:
+    """No NaN or infinity reaches a cell value: each becomes ``#VALUE!``."""
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "=ROUND(1,400)",
+            "=ROUND(1,-400)",
+            '=ROUND(1,"1e999")',
+            '="nan"+1',
+            '="inf"*1',
+            "=1e308*10",
+            "=-1e308-1e308",
+            "=1e308/1e-308",
+            '=ABS("nan")',
+            "=1e999",
+        ],
+    )
+    def test_probe_is_value_error(self, formula):
+        assert eval_one(formula) == err("#VALUE!")
+
+    @pytest.mark.parametrize("name", ["SUM", "AVERAGE"])
+    def test_fsum_overflow_is_value_error(self, name):
+        assert eval_one(f"={name}(A1:A2)", {"A1": 1e308, "A2": 1e308}) == err("#VALUE!")
+        assert eval_one(f"={name}(A1,A2)", {"A1": 1e308, "A2": 1e308}) == err("#VALUE!")
+
+    def test_finite_neighbours_unchanged(self):
+        assert eval_one("=ROUND(1234.5678,-2)") == num(1200)
+        assert eval_one('="1e3"+1') == num(1001)
+        assert eval_one("=SUM(A1:A2)", {"A1": 1e308, "A2": -1e308}) == num(0)
+
+    @pytest.mark.parametrize("formula", ['="nan"+1', '="inf"*1', "=1e308*10", '=ABS("nan")'])
+    def test_cached_number_is_stale(self, formula):
+        wb = make_workbook({"S": {"B1": (formula, 1)}})
+        [entry] = staleness_report(wb).entries
+        assert entry.address == addr("S", "B1")
+        assert entry.cached == num(1)
+        assert entry.recomputed == err("#VALUE!")
+
+
+# Ranges that cover formula cells, where the formula graph must agree with the cell-level view.
+FORMULA_GRAPH_CASES = {
+    "range_over_formulas": {
+        "S": {"A1": 1, "A2": "=A1+1", "A3": "=A2*2", "B1": "=SUM(A1:A3)", "B2": "=B1+A3"},
+    },
+    "multi_column_range": {
+        "S": {
+            "A1": 1, "B1": "=A1*2", "C1": "=B1+1", "A2": "=C1", "B2": 4,
+            "D1": "=SUM(A1:C2)", "D2": "=MAX(B1:C1)+D1", "E1": "=SUM(A2:B9)",
+        },
+    },
+    "cross_sheet_case": {
+        "Data": {"A1": 2, "A2": "=A1*3", "B2": "=A2+1"},
+        "Calc": {"A1": "=SUM(dATA!A1:B2)", "A2": "=data!A2+A1", "B1": "=COUNT('DATA'!A2:A9)"},
+    },
+    "range_contains_own_cell": {
+        "S": {"A1": 1, "A2": 2, "A3": "=SUM(A1:A4)", "B1": "=A3+1", "B2": "=A1*2"},
+    },
+    "capped_range_over_formula": {
+        "S": {"A5": "=C1", "C1": 2, "B1": "=SUM(A1:A200000)", "B2": "=B1+A5", "D1": "=C1*3"},
+    },
+}
+
+
+def full_view_formula_edges(g) -> set:
+    """Formula-to-formula edges of the cell-level view: u -> v, or u -> RangeNode -> v."""
+    formulas = set(g.formulas.nodes)
+    edges = set()
+    for src, dst in g.edges():
+        if src not in formulas:
+            continue
+        if dst in formulas:
+            edges.add((src, dst))
+        elif isinstance(dst, RangeNode):
+            edges.update((src, reader) for reader in g.dependents(dst))
+    return edges
+
+
+def values_over_full_view(wb, tie_break: str) -> dict:
+    """Recompute with the engine scheduled over the cell-level view."""
+    g = build_graph(wb)
+    g.formulas = g
+    engine = Engine(wb, graph=g)
+    engine.run(tie_break=tie_break)
+    return dict(engine.values)
+
+
+class TestFormulaGraph:
+    @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
+    def test_edges_match_the_full_view(self, name):
+        wb = make_workbook(FORMULA_GRAPH_CASES[name])
+        g = build_graph(wb)
+        assert set(g.formulas.nodes) == set(parse_all_formulas(wb))
+        assert set(g.formulas.edges()) == full_view_formula_edges(g)
+        for node in g.formulas.nodes:
+            assert g.formulas.precedents(node) == sorted(
+                g.formulas.precedents(node), key=g.sort_key
+            )
+
+    @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
+    def test_cycle_nodes_match_the_full_view(self, name):
+        wb = make_workbook(FORMULA_GRAPH_CASES[name])
+        g = build_graph(wb)
+        formulas = set(g.formulas.nodes)
+        assert cycle_nodes(g.formulas) == cycle_nodes(g) & formulas
+
+    @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
+    @pytest.mark.parametrize("tie_break", ["min", "max"])
+    def test_values_match_the_full_view(self, name, tie_break):
+        wb = make_workbook(FORMULA_GRAPH_CASES[name])
+        expected = values_over_full_view(wb, "min")
+        assert recompute_workbook(wb, tie_break=tie_break) == expected
+        assert values_over_full_view(wb, tie_break) == expected
+
+    def test_cases_exercise_what_they_name(self):
+        own = build_graph(make_workbook(FORMULA_GRAPH_CASES["range_contains_own_cell"]))
+        assert cycle_nodes(own.formulas) == {addr("S", "A3")}
+        capped = build_graph(make_workbook(FORMULA_GRAPH_CASES["capped_range_over_formula"]))
+        assert any(isinstance(n, RangeNode) for n in capped.nodes)
+        assert addr("S", "A5") in capped.formulas.precedents(addr("S", "B1"))
+        cross = build_graph(make_workbook(FORMULA_GRAPH_CASES["cross_sheet_case"]))
+        assert cross.formulas.precedents(addr("Calc", "A1")) == [
+            addr("Data", "A2"), addr("Data", "B2"),
+        ]
+
+    def test_random_workbooks_match_the_full_view(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            wb = random_acyclic_workbook(rng)
+            g = build_graph(wb)
+            assert set(g.formulas.edges()) == full_view_formula_edges(g)
+            assert recompute_workbook(wb) == values_over_full_view(wb, "min")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sheetsentry.graph as graph_module
+from sheetsentry.cli import main
 from sheetsentry.errors import DomainError
 from sheetsentry.evaluate import Engine
 from sheetsentry.formula import parse_formula
@@ -22,9 +25,16 @@ from sheetsentry.metrics import (
     script_metrics,
 )
 from sheetsentry.report import audit_workbook
-from sheetsentry.workbook import ScriptModule, col_to_letters, formula_cells, load_workbook
+from sheetsentry.graph import build_graph
+from sheetsentry.workbook import (
+    ScriptModule,
+    col_to_letters,
+    formula_cells,
+    load_workbook,
+    workbook_from_dict,
+)
 
-from conftest import addr, make_workbook
+from conftest import addr, make_workbook, write_wbjson
 
 # integer percents reported for the six audited sample workbooks
 REFERENCE_SAMPLES = [(351, 97), (37, 31), (284, 94), (209, 88), (260, 93), (164, 81)]
@@ -305,3 +315,36 @@ def synthetic_workbook(n_classes: int):
             row = base_row + copy
             cells[f"{col_to_letters(col)}{row}"] = (f"=A{row}*{multiplier}", 0)
     return make_workbook({"S": cells})
+
+
+def running_totals_doc(rows: int) -> dict:
+    """``rows`` inputs in column B and ``=SUM($B$2:B{r})`` beside each in column C."""
+    cells = {}
+    for r in range(2, rows + 2):
+        cells[f"B{r}"] = {"v": r}
+        cells[f"C{r}"] = {"f": f"=SUM($B$2:B{r})", "v": (r * (r + 1)) // 2 - 1}
+    return {"sheets": [{"name": "S", "cells": cells}], "manifest": {"specification": "totals"}}
+
+
+class TestNoRangeExpansion:
+    """An audit schedules over formula cells and never expands a range cell by cell."""
+
+    @pytest.fixture
+    def forbid_expansion(self, monkeypatch):
+        def forbidden(refs, key):
+            raise AssertionError("a range was expanded cell by cell")
+
+        monkeypatch.setattr(graph_module, "_expand", forbidden)
+
+    def test_audit_and_metrics(self, tmp_path, forbid_expansion, capsys):
+        path = write_wbjson(tmp_path, running_totals_doc(800))
+        report = audit_workbook(path)
+        assert report.metrics.formula_cells == 800
+        assert report.stale_entries == ()
+        assert compute_metrics(load_workbook(path)).formula_cells == 800
+        assert main(["metrics", "--format", "json", path]) == 0
+        assert json.loads(capsys.readouterr().out)["formula_cells"] == 800
+
+    def test_views_still_expand_on_demand(self):
+        wb = workbook_from_dict(running_totals_doc(20))
+        assert build_graph(wb).edge_count() == sum(range(1, 21))
