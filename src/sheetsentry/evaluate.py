@@ -13,13 +13,24 @@ and cells on a reference cycle evaluate to ``#CIRC!``. References into
 other workbooks cannot be resolved from a single file and evaluate to
 ``#REF!``; cells whose recomputed value is that ``#REF!`` are excluded
 from staleness entries and reported separately.
+
+Range reads cost what they return, not the area they cover. Each
+:class:`Engine` indexes a sheet's stored cells by column on the first range
+read there, so a range visits only the columns inside it and bisects each
+one's sorted rows. An exact-match ``VLOOKUP`` is answered from a hash index
+of its key column over the range's rows, built on first use and shared by
+every lookup over the same span; it gives the same answer, error and taint
+as a scan of the key column in row order. (The cost model in
+:mod:`sheetsentry.metrics` still charges a lookup a linear scan, because it
+models spreadsheet recalculation, not this engine.)
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import UnknownNodeError
 from .formula import (
@@ -39,8 +50,10 @@ from .formula import (
 from .graph import DepGraph, build_graph, schedule
 from .workbook import (
     BLANK,
+    Cell,
     CellAddress,
     CellValue,
+    Sheet,
     ValueKind,
     Workbook,
     format_number,
@@ -86,6 +99,63 @@ class StalenessReport:
     external_exclusions: list[CellAddress]
 
 
+@dataclass(frozen=True, slots=True)
+class _Column:
+    """The stored cells of one (sheet, column), sorted by row, with the
+    address of each formula cell (``None`` for an input)."""
+
+    rows: list[int]
+    addrs: list[CellAddress | None]
+    cells: list[Cell]
+
+
+_NO_COLUMN = _Column([], [], [])
+
+
+@dataclass(slots=True)
+class _LookupIndex:
+    """Exact-match answers for one key column over one row span.
+
+    Positions index the column's stored cells. ``first`` maps each value
+    before ``stop`` -- by kind, text casefolded, NaN left out -- to its first
+    position. ``stop`` is where a scan without a match ends: the first
+    error, which is then ``error``, or the end of the span.
+    ``tainted_from`` is the first position holding a tainted formula cell.
+    """
+
+    rows: list[int]
+    stop: int
+    error: CellValue | None = None
+    first: dict[tuple[ValueKind, object], int] = field(default_factory=dict)
+    first_number: int | None = None
+    first_nan: int | None = None
+    tainted_from: int | None = None
+
+    def match(self, key: CellValue) -> int | None:
+        """First position whose value equals ``key`` under ``=``, if any."""
+        first = self.first
+        kind = key.kind
+        if kind is ValueKind.BLANK:
+            # a blank key reads as 0, "" or FALSE, as the candidate's kind asks
+            hits = (
+                first.get((ValueKind.NUMBER, 0.0)),
+                first.get((ValueKind.TEXT, "")),
+                first.get((ValueKind.BOOLEAN, False)),
+                self.first_nan,
+            )
+        elif kind is ValueKind.NUMBER:
+            # NaN orders as equal to every number
+            if math.isnan(key.value):
+                hits = (self.first_number,)
+            else:
+                hits = (first.get((kind, key.value)), self.first_nan)
+        elif kind is ValueKind.TEXT:
+            hits = (first.get((kind, key.value.casefold())),)
+        else:
+            hits = (first.get((kind, key.value)),)
+        return min((pos for pos in hits if pos is not None), default=None)
+
+
 class Engine:
     """Evaluates one workbook; reusable for multiple queries."""
 
@@ -100,7 +170,8 @@ class Engine:
         self.graph = graph if graph is not None else build_graph(wb, self.asts)
         self.values: dict[CellAddress, CellValue] = {}
         self.tainted: set[CellAddress] = set()
-        self._sheet_items: dict[str, list[tuple[tuple[int, int], CellValue | None]]] = {}
+        self._columns: dict[str, tuple[list[int], dict[int, _Column]]] = {}
+        self._lookups: dict[tuple[str, int, int, int], _LookupIndex] = {}
         self._sheets = {sheet.name: sheet for sheet in wb.sheets}
         self._current_tainted = False
         self._ran = False
@@ -165,32 +236,71 @@ class Engine:
             raise RuntimeError(f"precedent {addr} not yet evaluated")
         return cell.cached
 
-    def _sheet_sorted(self, sheet_name: str):
-        key = sheet_name.casefold()
-        items = self._sheet_items.get(key)
-        if items is None:
-            sheet = self.wb.sheet(sheet_name)
-            items = sorted(
-                ((row, col) for (col, row) in sheet.cells) if sheet else []
-            )
-            self._sheet_items[key] = items
-        return items
+    def _sheet_columns(self, sheet: Sheet) -> tuple[list[int], dict[int, _Column]]:
+        """The sheet's occupied columns, sorted, and each column's index; built once."""
+        got = self._columns.get(sheet.name)
+        if got is None:
+            grouped: dict[int, list[tuple[int, Cell]]] = {}
+            for (col, row), cell in sheet.cells.items():
+                grouped.setdefault(col, []).append((row, cell))
+            by_col = {}
+            for col, entries in grouped.items():
+                entries.sort(key=itemgetter(0))
+                rows = [row for row, _ in entries]
+                by_col[col] = _Column(
+                    rows,
+                    [
+                        None if cell.formula is None else CellAddress(sheet.name, col, row)
+                        for row, cell in entries
+                    ],
+                    [cell for _, cell in entries],
+                )
+            got = self._columns[sheet.name] = (sorted(by_col), by_col)
+        return got
 
-    def _iter_range_cells(self, rng: RangeRef, origin_sheet: str):
-        """Stored cells inside a range, in (row, col) order, as values."""
-        sheet = rng.start.sheet or origin_sheet
-        if not self.wb.has_sheet(sheet):
-            return None
-        stored = self._sheet_sorted(sheet)
-        c1, r1, c2, r2 = rng.start.col, rng.start.row, rng.end.col, rng.end.row
-        lo = bisect_left(stored, (r1, 0))
-        hi = bisect_right(stored, (r2, 1 << 30))
+    def _read(self, column: _Column, lo: int, hi: int) -> list[CellValue]:
+        """Values of a column's stored cells ``lo .. hi - 1``, in row order."""
         out = []
-        resolved = self.wb.sheet(sheet).name
-        for row, col in stored[lo:hi]:
-            if c1 <= col <= c2:
-                out.append(self._cell_value(resolved, col, row))
+        values, tainted = self.values, self.tainted
+        for cell, addr in zip(column.cells[lo:hi], column.addrs[lo:hi]):
+            if cell.formula is None:
+                out.append(cell.cached)
+                continue
+            got = values.get(addr)
+            if got is None:
+                # only reachable if evaluation order was violated
+                raise RuntimeError(f"precedent {addr} not yet evaluated")
+            if addr in tainted:
+                self._current_tainted = True
+            out.append(got)
         return out
+
+    def _iter_range_cells(self, rng: RangeRef, origin_sheet: str) -> list[CellValue] | None:
+        """Values of the stored cells inside a range, in (row, col) order.
+
+        ``None`` when the range's sheet does not exist. Only the columns
+        inside the range are visited, each by bisecting its rows.
+        """
+        found = self.wb.sheet(rng.start.sheet or origin_sheet)
+        if found is None:
+            return None
+        cols, by_col = self._sheet_columns(found)
+        r1, r2 = rng.start.row, rng.end.row
+        reads = []
+        for col in cols[bisect_left(cols, rng.start.col):bisect_right(cols, rng.end.col)]:
+            column = by_col[col]
+            lo, hi = bisect_left(column.rows, r1), bisect_right(column.rows, r2)
+            if lo < hi:
+                reads.append((column, lo, hi))
+        if len(reads) == 1:
+            return self._read(*reads[0])
+        # SUM, AND and OR return the first error in (row, col) order; a
+        # stable sort on the row keeps the columns in order within a row
+        merged: list[tuple[int, CellValue]] = []
+        for column, lo, hi in reads:
+            merged.extend(zip(column.rows[lo:hi], self._read(column, lo, hi)))
+        merged.sort(key=itemgetter(0))
+        return [val for _, val in merged]
 
     # -- AST evaluation
 
@@ -336,12 +446,11 @@ class Engine:
                 if cells is None:
                     return _REF_ERR
                 for val in cells:
-                    if val.is_error():
-                        if count_only:
-                            continue
-                        return val
-                    if val.is_number():
+                    kind = val.kind
+                    if kind is ValueKind.NUMBER:
                         numbers.append(val.value)
+                    elif kind is ValueKind.ERROR and not count_only:
+                        return val
             else:
                 val = self._eval(arg, sheet)
                 if val.is_error():
@@ -463,25 +572,69 @@ class Engine:
             if flag is None or flag:
                 # only exact-match mode is supported
                 return _VALUE_ERR
-        target_sheet = rng.start.sheet or sheet
-        found = self.wb.sheet(target_sheet)
+        found = self.wb.sheet(rng.start.sheet or sheet)
         if found is None:
             return _REF_ERR
-        stored = self._sheet_sorted(found.name)
-        lo = bisect_left(stored, (rng.start.row, 0))
-        hi = bisect_right(stored, (rng.end.row, 1 << 30))
-        first_col = rng.start.col
-        for row, col in stored[lo:hi]:
-            if col != first_col:
-                continue
-            candidate = self._cell_value(found.name, col, row)
-            if candidate.is_error():
-                return candidate
-            if candidate.is_blank():
-                continue
-            if self._compare("=", key, candidate).value:
-                return self._cell_value(found.name, first_col + offset, row)
-        return _NA
+        return self._lookup_exact(key, found, rng, offset)
+
+    def _lookup_exact(self, key: CellValue, sheet: Sheet, rng: RangeRef, offset: int) -> CellValue:
+        """Exact-match ``VLOOKUP`` from the range's lookup index.
+
+        Answers as a scan of the key column in row order would: the first
+        error stops it, blanks are skipped, the first equal value selects
+        the row, and the scan taints the result if it reads a tainted cell.
+        """
+        span = (sheet.name, rng.start.col, rng.start.row, rng.end.row)
+        index = self._lookups.get(span)
+        if index is None:
+            index = self._lookups[span] = self._build_lookup(sheet, *span[1:])
+        pos = index.match(key)
+        stop = index.stop if pos is None else pos
+        if index.tainted_from is not None and index.tainted_from <= stop:
+            self._current_tainted = True
+        if pos is None:
+            return index.error or _NA
+        return self._cell_value(sheet.name, rng.start.col + offset, index.rows[pos])
+
+    def _build_lookup(self, sheet: Sheet, col: int, first_row: int, last_row: int) -> _LookupIndex:
+        """Index one key column over one row span.
+
+        Valid for the rest of the run: every formula cell in the span
+        precedes any lookup over it in the schedule (or sits on a cycle and
+        already holds ``#CIRC!``), and evaluated values never change.
+        """
+        column = self._sheet_columns(sheet)[1].get(col, _NO_COLUMN)
+        lo, hi = bisect_left(column.rows, first_row), bisect_right(column.rows, last_row)
+        outer = self._current_tainted
+        self._current_tainted = False
+        values = self._read(column, lo, hi)
+        read_tainted, self._current_tainted = self._current_tainted, outer
+
+        index = _LookupIndex(column.rows, stop=hi)
+        first = index.first
+        for pos, val in enumerate(values, start=lo):
+            kind = val.kind
+            if kind is ValueKind.NUMBER:
+                if index.first_number is None:
+                    index.first_number = pos
+                if math.isnan(val.value):
+                    if index.first_nan is None:
+                        index.first_nan = pos
+                else:
+                    first.setdefault((kind, val.value), pos)
+            elif kind is ValueKind.TEXT:
+                first.setdefault((kind, val.value.casefold()), pos)
+            elif kind is ValueKind.BOOLEAN:
+                first.setdefault((kind, val.value), pos)
+            elif kind is ValueKind.ERROR:
+                # a scan never reads past the first error
+                index.stop, index.error = pos, val
+                break
+        if read_tainted:
+            index.tainted_from = next(
+                pos for pos in range(lo, hi) if column.addrs[pos] in self.tainted
+            )
+        return index
 
 
 def _blank_as(kind: ValueKind) -> CellValue:
@@ -597,11 +750,12 @@ def staleness_report(
         cached = cell.cached
         if cached.is_number() and recomputed.is_number():
             delta = abs(cached.value - recomputed.value)
-            limit = NUMERIC_TOLERANCE * max(1.0, abs(recomputed.value))
-            if delta > limit:
-                entries.append(
-                    StalenessEntry(addr, cached, recomputed, delta / max(1.0, abs(recomputed.value)))
-                )
+            scale = max(1.0, abs(recomputed.value))
+            if math.isnan(delta):
+                # a NaN (only possible in a Workbook built in memory) fails every tolerance
+                entries.append(StalenessEntry(addr, cached, recomputed, None))
+            elif delta > NUMERIC_TOLERANCE * scale:
+                entries.append(StalenessEntry(addr, cached, recomputed, delta / scale))
         elif cached != recomputed:
             entries.append(StalenessEntry(addr, cached, recomputed, None))
     return StalenessReport(entries=entries, external_exclusions=exclusions)

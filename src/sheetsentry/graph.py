@@ -349,8 +349,10 @@ def schedule(g: DepGraph, key: Callable[[Node], tuple]) -> tuple[list[Node], set
     """
     deps = g._deps
     indegree = {node: len(ps) for node, ps in g._preds.items()}
-    heap = [(key(n), n) for n, d in indegree.items() if d == 0]
-    heapq.heapify(heap)
+    # the initial ready set is sorted once; only released nodes go on the heap
+    ready = sorted((key(n), n) for n, d in indegree.items() if d == 0)
+    next_ready = 0
+    heap: list[tuple[tuple, Node]] = []
     order: list[Node] = []
     in_cycle: set[Node] = set()
 
@@ -361,8 +363,15 @@ def schedule(g: DepGraph, key: Callable[[Node], tuple]) -> tuple[list[Node], set
                 heapq.heappush(heap, (key(dst), dst))
 
     def drain() -> None:
-        while heap:
-            _, node = heapq.heappop(heap)
+        nonlocal next_ready
+        while True:
+            if next_ready < len(ready) and not (heap and heap[0] < ready[next_ready]):
+                node = ready[next_ready][1]
+                next_ready += 1
+            elif heap:
+                node = heapq.heappop(heap)[1]
+            else:
+                return
             order.append(node)
             release(node)
 

@@ -576,19 +576,31 @@ def run_rules(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     wb, classes = analysis.wb, analysis.classes
     asts_by_class = {cls.normalized.text: analysis.asts[cls.representative] for cls in classes}
 
+    on = cfg.enabled
     findings: list[Finding] = []
-    findings.extend(check_spec_presence(wb.manifest))
-    findings.extend(check_stale_values(analysis.staleness))
-    findings.extend(check_external_links(analysis.graph, wb.manifest, wb))
-    findings.extend(check_calc_mode(wb.settings))
-    findings.extend(check_hardcoded_constant(classes, cfg, asts_by_class))
-    findings.extend(check_deep_nesting(classes, cfg, asts_by_class))
-    findings.extend(check_long_formula(wb, classes, cfg))
-    findings.extend(check_copy_class_holes(wb, classes, cfg))
-    findings.extend(check_lookup_hotspots(classes, cfg, asts_by_class))
-    findings.extend(check_script_quality(analysis.scripts, cfg))
+    if "SPEC_MISSING" in on:
+        findings.extend(check_spec_presence(wb.manifest))
+    if "STALE_VALUE" in on:
+        findings.extend(check_stale_values(analysis.staleness))
+    if "EXTERNAL_LINK" in on or "UNDOCUMENTED_IMPORT" in on:
+        # one check emits both rules; the filter below drops a disabled one
+        findings.extend(check_external_links(analysis.graph, wb.manifest, wb))
+    if "MANUAL_CALC" in on:
+        findings.extend(check_calc_mode(wb.settings))
+    if "HARDCODED_CONSTANT" in on:
+        findings.extend(check_hardcoded_constant(classes, cfg, asts_by_class))
+    if "DEEP_NESTING" in on:
+        findings.extend(check_deep_nesting(classes, cfg, asts_by_class))
+    if "LONG_FORMULA" in on:
+        findings.extend(check_long_formula(wb, classes, cfg))
+    if "COPY_CLASS_HOLE" in on:
+        findings.extend(check_copy_class_holes(wb, classes, cfg))
+    if "LOOKUP_HOTSPOT" in on:
+        findings.extend(check_lookup_hotspots(classes, cfg, asts_by_class))
+    if "SCRIPT_QUALITY" in on:
+        findings.extend(check_script_quality(analysis.scripts, cfg))
 
-    findings = [f for f in findings if f.rule_id in cfg.enabled]
+    findings = [f for f in findings if f.rule_id in on]
 
     def sort_key(f: Finding):
         loc = (1,) + wb.address_sort_key(f.locations[0]) if f.locations else (0,)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 
 import pytest
@@ -273,6 +275,44 @@ class TestCycleScheduling:
             if src in position and dst in position:
                 assert position[src] < position[dst]
 
+    def test_schedule_pops_the_smallest_ready_node(self):
+        """Same order as a Kahn loop that keeps every ready node in one heap."""
+        rng = random.Random(17)
+        workbooks = [make_workbook({"S": cells}) for cells, _ in CYCLE_CASES.values()]
+        workbooks += [random_acyclic_workbook(rng) for _ in range(30)]
+        for wb in workbooks:
+            for g in (build_graph(wb), build_graph(wb).formulas):
+                for key in (g.sort_key, lambda n, g=g: tuple(-x for x in g.sort_key(n))):
+                    assert schedule(g, key) == heap_schedule(g, key)
+
+
+def heap_schedule(g, key):
+    """Kahn's algorithm popping the smallest ready node from a single heap."""
+    indegree = {node: len(ps) for node, ps in g._preds.items()}
+    heap = [(key(n), n) for n, d in indegree.items() if d == 0]
+    heapq.heapify(heap)
+    order, in_cycle = [], set()
+
+    def drain():
+        while heap:
+            _, node = heapq.heappop(heap)
+            order.append(node)
+            release(node)
+
+    def release(node):
+        for dst in g._deps[node]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0 and dst not in in_cycle:
+                heapq.heappush(heap, (key(dst), dst))
+
+    drain()
+    if len(order) < len(indegree):
+        in_cycle = cycle_nodes(g)
+        for node in in_cycle:
+            release(node)
+        drain()
+    return order, in_cycle
+
 
 class TestEvaluateCell:
     def test_formula_cell(self):
@@ -339,6 +379,14 @@ class TestStaleness:
         report = staleness_report(wb)
         assert len(report.entries) == 1
         assert report.entries[0].relative_delta is None
+
+    def test_cached_nan_is_stale(self):
+        # only a Workbook built in memory can cache a NaN; the loader rejects one
+        wb = Workbook(sheets=[Sheet("S", {(2, 1): Cell(formula="=1+1", cached=num(math.nan))})])
+        [entry] = staleness_report(wb).entries
+        assert entry.address == addr("S", "B1")
+        assert entry.recomputed == num(2)
+        assert entry.relative_delta is None
 
     def test_idempotent_consistency(self):
         rng = random.Random(3)

@@ -394,6 +394,30 @@ class TestConfig:
             kept = [f for f in full.findings if f.rule_id != rule_id]
             assert list(partial.findings) == kept
 
+    @pytest.mark.parametrize(
+        "check, rule_ids",
+        [
+            ("check_spec_presence", {"SPEC_MISSING"}),
+            ("check_stale_values", {"STALE_VALUE"}),
+            ("check_external_links", {"EXTERNAL_LINK", "UNDOCUMENTED_IMPORT"}),
+            ("check_calc_mode", {"MANUAL_CALC"}),
+            ("check_hardcoded_constant", {"HARDCODED_CONSTANT"}),
+            ("check_deep_nesting", {"DEEP_NESTING"}),
+            ("check_long_formula", {"LONG_FORMULA"}),
+            ("check_copy_class_holes", {"COPY_CLASS_HOLE"}),
+            ("check_lookup_hotspots", {"LOOKUP_HOTSPOT"}),
+            ("check_script_quality", {"SCRIPT_QUALITY"}),
+        ],
+    )
+    def test_disabled_rule_is_not_run(self, fixtures_dir, monkeypatch, check, rule_ids):
+        def refuse(*args):
+            raise AssertionError(f"{check} ran with its rules disabled")
+
+        monkeypatch.setattr(f"sheetsentry.rules.{check}", refuse)
+        cfg = RuleConfig(enabled=frozenset(RULES) - rule_ids)
+        report = audit_fixture(fixtures_dir, "all_rules.json", cfg=cfg)
+        assert {f.rule_id for f in report.findings} == CORE_RULE_IDS - rule_ids
+
     def test_threshold_monotonicity(self, fixtures_dir):
         base = audit_fixture(fixtures_dir, "all_rules.json")
         harder = RuleConfig(
