@@ -10,14 +10,17 @@ Semantics follow mainstream spreadsheet behavior: blanks act as zero in
 arithmetic, comparisons order mixed types as number < text < boolean,
 text comparison is case-insensitive, errors propagate through operators,
 and cells on a reference cycle evaluate to ``#CIRC!``. References into
-other workbooks cannot be resolved from a single file and evaluate to
-``#REF!``; cells whose recomputed value is that ``#REF!`` are excluded
-from staleness entries and reported separately.
+other workbooks, cells and ranges alike, cannot be resolved from a single
+file and evaluate to ``#REF!``; cells whose recomputed value is that
+``#REF!`` are excluded from staleness entries and reported separately.
 
-Range reads cost what they return, not the area they cover. Each
-:class:`Engine` indexes a sheet's stored cells by column on the first range
-read there, so a range visits only the columns inside it and bisects each
-one's sorted rows. An exact-match ``VLOOKUP`` is answered from a hash index
+Which stored cells a reference reads is decided in one place, which the
+dependency graph asks too: :meth:`Workbook.resolve` names the sheet (or
+another workbook, or none), and :meth:`Sheet.column_slices` finds a range's
+cells in the sheet's column index, built once per sheet on first use. A
+range read therefore costs what it returns, not the area it covers: it
+visits only the columns inside it and bisects each one's sorted rows. An
+exact-match ``VLOOKUP`` is answered from a hash index
 of its key column over the range's rows, built on first use and shared by
 every lookup over the same span; it gives the same answer, error and taint
 as a scan of the key column in row order. (The cost model in
@@ -28,7 +31,7 @@ models spreadsheet recalculation, not this engine.)
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -50,9 +53,9 @@ from .formula import (
 from .graph import DepGraph, build_graph, schedule
 from .workbook import (
     BLANK,
-    Cell,
     CellAddress,
     CellValue,
+    Column,
     Sheet,
     ValueKind,
     Workbook,
@@ -97,19 +100,6 @@ class StalenessReport:
 
     entries: list[StalenessEntry]
     external_exclusions: list[CellAddress]
-
-
-@dataclass(frozen=True, slots=True)
-class _Column:
-    """The stored cells of one (sheet, column), sorted by row, with the
-    address of each formula cell (``None`` for an input)."""
-
-    rows: list[int]
-    addrs: list[CellAddress | None]
-    cells: list[Cell]
-
-
-_NO_COLUMN = _Column([], [], [])
 
 
 @dataclass(slots=True)
@@ -170,9 +160,7 @@ class Engine:
         self.graph = graph if graph is not None else build_graph(wb, self.asts)
         self.values: dict[CellAddress, CellValue] = {}
         self.tainted: set[CellAddress] = set()
-        self._columns: dict[str, tuple[list[int], dict[int, _Column]]] = {}
         self._lookups: dict[tuple[str, int, int, int], _LookupIndex] = {}
-        self._sheets = {sheet.name: sheet for sheet in wb.sheets}
         self._current_tainted = False
         self._ran = False
 
@@ -221,6 +209,15 @@ class Engine:
 
     # -- cell/range resolution
 
+    def _sheet(self, ref: Reference | RangeRef, origin_sheet: str) -> Sheet | None:
+        """The stored sheet a reference reads, or ``None`` where it reads
+        ``#REF!``: a missing sheet, or another workbook, which also taints."""
+        found = self.wb.resolve(ref, origin_sheet)
+        if isinstance(found, str):
+            self._current_tainted = True
+            return None
+        return found
+
     def _cell_value(self, sheet: str, col: int, row: int) -> CellValue:
         addr = CellAddress(sheet, col, row)
         got = self.values.get(addr)
@@ -228,7 +225,7 @@ class Engine:
             if addr in self.tainted:
                 self._current_tainted = True
             return got
-        cell = self._sheets[sheet].cells.get((col, row))
+        cell = self.wb.cell(addr)
         if cell is None:
             return BLANK
         if cell.formula is not None:
@@ -236,36 +233,16 @@ class Engine:
             raise RuntimeError(f"precedent {addr} not yet evaluated")
         return cell.cached
 
-    def _sheet_columns(self, sheet: Sheet) -> tuple[list[int], dict[int, _Column]]:
-        """The sheet's occupied columns, sorted, and each column's index; built once."""
-        got = self._columns.get(sheet.name)
-        if got is None:
-            grouped: dict[int, list[tuple[int, Cell]]] = {}
-            for (col, row), cell in sheet.cells.items():
-                grouped.setdefault(col, []).append((row, cell))
-            by_col = {}
-            for col, entries in grouped.items():
-                entries.sort(key=itemgetter(0))
-                rows = [row for row, _ in entries]
-                by_col[col] = _Column(
-                    rows,
-                    [
-                        None if cell.formula is None else CellAddress(sheet.name, col, row)
-                        for row, cell in entries
-                    ],
-                    [cell for _, cell in entries],
-                )
-            got = self._columns[sheet.name] = (sorted(by_col), by_col)
-        return got
-
-    def _read(self, column: _Column, lo: int, hi: int) -> list[CellValue]:
+    def _read(self, column: Column, lo: int, hi: int) -> list[CellValue]:
         """Values of a column's stored cells ``lo .. hi - 1``, in row order."""
         out = []
         values, tainted = self.values, self.tainted
-        for cell, addr in zip(column.cells[lo:hi], column.addrs[lo:hi]):
+        formulas = iter(column.formulas[column.before[lo]:column.before[hi]])
+        for cell in column.cells[lo:hi]:
             if cell.formula is None:
                 out.append(cell.cached)
                 continue
+            addr = next(formulas)
             got = values.get(addr)
             if got is None:
                 # only reachable if evaluation order was violated
@@ -278,20 +255,13 @@ class Engine:
     def _iter_range_cells(self, rng: RangeRef, origin_sheet: str) -> list[CellValue] | None:
         """Values of the stored cells inside a range, in (row, col) order.
 
-        ``None`` when the range's sheet does not exist. Only the columns
-        inside the range are visited, each by bisecting its rows.
+        ``None`` when the range reads ``#REF!`` (see :meth:`_sheet`). Only
+        the columns inside the range are visited, each by bisecting its rows.
         """
-        found = self.wb.sheet(rng.start.sheet or origin_sheet)
+        found = self._sheet(rng, origin_sheet)
         if found is None:
             return None
-        cols, by_col = self._sheet_columns(found)
-        r1, r2 = rng.start.row, rng.end.row
-        reads = []
-        for col in cols[bisect_left(cols, rng.start.col):bisect_right(cols, rng.end.col)]:
-            column = by_col[col]
-            lo, hi = bisect_left(column.rows, r1), bisect_right(column.rows, r2)
-            if lo < hi:
-                reads.append((column, lo, hi))
+        reads = found.column_slices(rng.start.col, rng.start.row, rng.end.col, rng.end.row)
         if len(reads) == 1:
             return self._read(*reads[0])
         # SUM, AND and OR return the first error in (row, col) order; a
@@ -325,15 +295,9 @@ class Engine:
         raise TypeError(f"not a formula node: {node!r}")
 
     def _eval_ref(self, ref: Reference, sheet: str) -> CellValue:
-        if ref.external is not None:
-            self._current_tainted = True
-            return _REF_ERR
-        target_sheet = ref.sheet or sheet
-        found = self._sheets.get(target_sheet)
+        found = self._sheet(ref, sheet)
         if found is None:
-            found = self.wb.sheet(target_sheet)  # case-insensitive fallback
-            if found is None:
-                return _REF_ERR
+            return _REF_ERR
         return self._cell_value(found.name, ref.col, ref.row)
 
     def _eval_unary(self, node: Unary, sheet: str) -> CellValue:
@@ -345,7 +309,7 @@ class Engine:
         num = _to_number(val)
         if num is None:
             return _VALUE_ERR
-        return CellValue.number(-num)
+        return _finite(-num)
 
     def _eval_binary(self, node: Binary, sheet: str) -> CellValue:
         left = self._eval(node.left, sheet)
@@ -472,12 +436,15 @@ class Engine:
         if name in ("SUM", "AVERAGE"):
             try:
                 total = math.fsum(numbers)
-            except OverflowError:
+            except (OverflowError, ValueError):  # ValueError: inf + -inf
                 return _VALUE_ERR
-            return CellValue.number(total if name == "SUM" else total / len(numbers))
+            return _finite(total if name == "SUM" else total / len(numbers))
         if not numbers:
             return CellValue.number(0.0)
-        return CellValue.number(min(numbers) if name == "MIN" else max(numbers))
+        if any(map(math.isnan, numbers)):
+            # min and max would drop a NaN unless it comes first
+            return _VALUE_ERR
+        return _finite(min(numbers) if name == "MIN" else max(numbers))
 
     def _fn_and_or(self, name: str, args, sheet: str) -> CellValue:
         flags: list[bool] = []
@@ -526,7 +493,7 @@ class Engine:
         num = _to_number(val)
         if num is None:
             return _VALUE_ERR
-        return CellValue.number(fn(num))
+        return _finite(fn(num))
 
     def _fn_round(self, args, sheet: str) -> CellValue:
         if len(args) != 2:
@@ -572,7 +539,7 @@ class Engine:
             if flag is None or flag:
                 # only exact-match mode is supported
                 return _VALUE_ERR
-        found = self.wb.sheet(rng.start.sheet or sheet)
+        found = self._sheet(rng, sheet)
         if found is None:
             return _REF_ERR
         return self._lookup_exact(key, found, rng, offset)
@@ -603,8 +570,10 @@ class Engine:
         precedes any lookup over it in the schedule (or sits on a cycle and
         already holds ``#CIRC!``), and evaluated values never change.
         """
-        column = self._sheet_columns(sheet)[1].get(col, _NO_COLUMN)
-        lo, hi = bisect_left(column.rows, first_row), bisect_right(column.rows, last_row)
+        slices = sheet.column_slices(col, first_row, col, last_row)
+        if not slices:
+            return _LookupIndex([], stop=0)
+        [(column, lo, hi)] = slices
         outer = self._current_tainted
         self._current_tainted = False
         values = self._read(column, lo, hi)
@@ -631,9 +600,9 @@ class Engine:
                 index.stop, index.error = pos, val
                 break
         if read_tainted:
-            index.tainted_from = next(
-                pos for pos in range(lo, hi) if column.addrs[pos] in self.tainted
-            )
+            read = column.formulas[column.before[lo]:column.before[hi]]
+            first = next(a for a in read if a in self.tainted)
+            index.tainted_from = bisect_left(column.rows, first.row)
         return index
 
 

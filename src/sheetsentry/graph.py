@@ -11,13 +11,16 @@ built from that form lazily, each on first use:
   :class:`RangeNode`, which keeps ordering sound while staying coarse for
   precedent queries.
 - :attr:`DepGraph.formulas`, the graph over formula cells alone. Ranges
-  are resolved to the formula cells inside them without being expanded,
-  so its size follows the formulas, not the area they read. The
-  recomputation engine schedules over it.
+  are resolved to the formula cells inside them through the sheet's column
+  index (:meth:`Sheet.column_slices`) without being expanded, so its size
+  follows the formulas, not the area they read. The recomputation engine
+  schedules over it and reads ranges through the same index.
 
-References into other workbooks never become edges; they are collected
-in the external-link inventory because the target lives outside this
-file's audit boundary.
+Every reference is resolved by :meth:`Workbook.resolve`, as in the
+evaluator. References into other workbooks, cells and ranges alike, become
+no edges but entries of the external-link inventory, because the target
+lives outside this file's audit boundary; they evaluate to ``#REF!``.
+References to missing sheets produce no edges either.
 
 :func:`schedule` is the one scheduler: a Kahn loop that orders every node
 off the reference cycles and returns the cycle nodes beside that order.
@@ -28,15 +31,14 @@ Tarjan (:func:`cyclic_components`) finds the cycles.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator, Union
 
 from .errors import UnknownNodeError
 from .formula import (
     FormulaAst,
-    Reference,
+    RangeRef,
     collect_references,
     parse_all_formulas,
     render_a1,
@@ -107,11 +109,11 @@ class DepGraph:
         self,
         refs: dict[CellAddress, list[Node]],
         external_links: list[ExternalLink],
-        sheet_rank: dict[str, int],
+        wb: Workbook,
     ) -> None:
         self._refs = refs
         self.external_links = external_links
-        self._rank = sheet_rank
+        self.wb = wb
 
     @cached_property
     def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
@@ -130,21 +132,12 @@ class DepGraph:
         """The graph over formula cells alone, which is all evaluation has to order.
 
         It has an edge u -> v exactly when formula cell v reads formula cell
-        u, directly or through a range; the ranges are resolved by bisecting
-        the sorted rows of each (sheet, column) that holds formulas, so no
-        range is expanded and inputs and blanks never become nodes. Cycle
-        membership of formula cells is the same as in the full view.
+        u, directly or through a range; a range is resolved to the formula
+        cells inside it through its sheet's column index
+        (:meth:`Sheet.column_slices`), so no range is expanded and inputs and
+        blanks never become nodes. Cycle membership of formula cells is the
+        same as in the full view.
         """
-        rows: dict[tuple[str, int], list[int]] = {}
-        for addr in self._refs:
-            rows.setdefault((addr.sheet, addr.col), []).append(addr.row)
-        cols: dict[str, list[int]] = {}
-        for (sheet, col), col_rows in rows.items():
-            col_rows.sort()
-            cols.setdefault(sheet, []).append(col)
-        for sheet_cols in cols.values():
-            sheet_cols.sort()
-
         key = self.sort_key
         preds: dict[Node, list[Node]] = {}
         deps: dict[Node, list[Node]] = {addr: [] for addr in self._refs}
@@ -155,15 +148,10 @@ class DepGraph:
                     if node in deps:
                         found.add(node)
                     continue
-                sheet_cols = cols.get(node.sheet, ())
-                lo = bisect_left(sheet_cols, node.start_col)
-                hi = bisect_right(sheet_cols, node.end_col)
-                for col in sheet_cols[lo:hi]:
-                    col_rows = rows[node.sheet, col]
-                    first = bisect_left(col_rows, node.start_row)
-                    last = bisect_right(col_rows, node.end_row)
-                    for row in col_rows[first:last]:
-                        found.add(CellAddress(node.sheet, col, row))
+                for column, lo, hi in self.wb.sheet(node.sheet).column_slices(
+                    node.start_col, node.start_row, node.end_col, node.end_row
+                ):
+                    found.update(column.formulas[column.before[lo]:column.before[hi]])
             preds[addr] = sorted(found, key=key) if len(found) > 1 else list(found)
             for src in found:
                 deps[src].append(addr)
@@ -171,17 +159,18 @@ class DepGraph:
             if len(dsts) > 1:
                 dsts.sort(key=key)
         # each reference is now one formula cell, so the view is already built
-        graph = DepGraph(preds, self.external_links, self._rank)
+        graph = DepGraph(preds, self.external_links, self.wb)
         graph._view = (preds, deps)
         return graph
 
     # -- ordering helpers
 
     def sort_key(self, node: Node) -> tuple:
+        """Sheet order, then row, then column, as :meth:`Workbook.address_sort_key`."""
+        rank = self.wb.sheet_rank(node.sheet)
         if isinstance(node, RangeNode):
-            return (self._rank.get(node.sheet.casefold(), 1 << 30),
-                    node.start_row, node.start_col, 1, node.end_row, node.end_col)
-        return (self._rank.get(node.sheet.casefold(), 1 << 30), node.row, node.col, 0, 0, 0)
+            return (rank, node.start_row, node.start_col, 1, node.end_row, node.end_col)
+        return (rank, node.row, node.col, 0, 0, 0)
 
     # -- queries
 
@@ -238,8 +227,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     workbook is parsed here, which raises :class:`ParseError` naming the
     cell. One walk over the references resolves their sheets and collects
     the external links; ranges stay one :class:`RangeNode` each until a
-    query needs the cell-level view. References to sheets that do not exist
-    produce no edges; the evaluator reports them as ``#REF!``.
+    query needs the cell-level view.
     """
     if asts is None:
         asts = parse_all_formulas(wb)
@@ -248,33 +236,21 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     for addr, ast in asts.items():
         reads: list[Node] = []
         for ref in collect_references(ast):
-            if isinstance(ref, Reference):
-                if ref.external is not None:
-                    external_links.append(
-                        ExternalLink(addr, ref.external, ref.sheet or "", render_a1(
-                            Reference(ref.col, ref.row, ref.abs_col, ref.abs_row)))
-                    )
-                    continue
-                sheet = _resolve_sheet(wb, ref.sheet, addr)
-                if sheet is not None:
-                    reads.append(CellAddress(sheet, ref.col, ref.row))
+            found = wb.resolve(ref, addr.sheet)
+            if isinstance(found, str):
+                corners = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)
+                local = [replace(corner, sheet=None, external=None) for corner in corners]
+                target = ":".join(map(render_a1, local))
+                external_links.append(ExternalLink(addr, found, corners[0].sheet or "", target))
+            elif found is None:
+                continue
+            elif isinstance(ref, RangeRef):
+                reads.append(RangeNode(found.name, ref.start.col, ref.start.row,
+                                       ref.end.col, ref.end.row))
             else:
-                start, end = ref.start, ref.end
-                if start.external is not None:
-                    target = (
-                        f"{render_a1(Reference(start.col, start.row, start.abs_col, start.abs_row))}:"
-                        f"{render_a1(Reference(end.col, end.row, end.abs_col, end.abs_row))}"
-                    )
-                    external_links.append(
-                        ExternalLink(addr, start.external, start.sheet or "", target)
-                    )
-                    continue
-                sheet = _resolve_sheet(wb, start.sheet, addr)
-                if sheet is not None:
-                    reads.append(RangeNode(sheet, start.col, start.row, end.col, end.row))
+                reads.append(CellAddress(found.name, ref.col, ref.row))
         refs[addr] = reads
-    rank = {sheet.name.casefold(): i for i, sheet in enumerate(wb.sheets)}
-    return DepGraph(refs, external_links, rank)
+    return DepGraph(refs, external_links, wb)
 
 
 def _expand(
@@ -328,14 +304,6 @@ def _expand(
         return {n: sorted(s, key=key) if len(s) > 1 else list(s) for n, s in nodes.items()}
 
     return ordered(preds), ordered(deps)
-
-
-def _resolve_sheet(wb: Workbook, sheet: str | None, origin: CellAddress) -> str | None:
-    """Stored sheet name for a reference, or None if the sheet is unknown."""
-    if sheet is None:
-        return origin.sheet
-    found = wb.sheet(sheet)
-    return found.name if found is not None else None
 
 
 def schedule(g: DepGraph, key: Callable[[Node], tuple]) -> tuple[list[Node], set[Node]]:

@@ -23,6 +23,7 @@ from .workbook import (
     CellAddress,
     CellValue,
     Workbook,
+    _value_from_json,
     load_workbook,
     parse_address,
 )
@@ -120,16 +121,10 @@ def _address_from_json(doc: dict) -> CellAddress:
     return CellAddress(doc["sheet"], col, row)
 
 
-def _value_from_json(value: Any) -> CellValue:
-    if value is None:
-        return BLANK
-    if isinstance(value, bool):
-        return CellValue.boolean(value)
-    if isinstance(value, (int, float)):
-        return CellValue.number(value)
-    if isinstance(value, str):
-        return CellValue.text(value)
-    return CellValue.error(value["err"])
+def _stale_value_from_json(entry: dict, key: str, i: int) -> CellValue:
+    """A stale entry's cached or recomputed value; ``null`` is a blank."""
+    value = entry[key]
+    return BLANK if value is None else _value_from_json(value, f"$.staleness.entries[{i}].{key}")
 
 
 def metrics_to_dict(m: WorkbookMetrics) -> dict[str, Any]:
@@ -224,11 +219,11 @@ def report_from_dict(doc: dict[str, Any]) -> AuditReport:
     entries = tuple(
         StalenessEntry(
             address=_address_from_json(e["location"]),
-            cached=_value_from_json(e["cached"]),
-            recomputed=_value_from_json(e["recomputed"]),
+            cached=_stale_value_from_json(e, "cached", i),
+            recomputed=_stale_value_from_json(e, "recomputed", i),
             relative_delta=e["relative_delta"],
         )
-        for e in staleness["entries"]
+        for i, e in enumerate(staleness["entries"])
     )
     links = tuple(
         ExternalLink(

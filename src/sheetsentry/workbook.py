@@ -4,6 +4,10 @@ A workbook is a list of named sheets, each holding a sparse map of cells.
 Cells carry an optional formula source string plus the value cached in the
 file. Workbooks are immutable after loading; all operations in this package
 are pure reads, so any number of concurrent readers is safe.
+
+Which stored cells a formula reference reads is decided here, for the
+dependency graph and the evaluator alike: :meth:`Workbook.resolve` picks
+the sheet and :meth:`Sheet.column_slices` the cells of a range.
 """
 
 from __future__ import annotations
@@ -11,11 +15,15 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from .errors import AddressParseError, FormatError, IoError, ValidationError
+
+if TYPE_CHECKING:
+    from .formula import RangeRef, Reference
 
 MAX_COL = 18278  # columns A through ZZZ
 MAX_ROW = 1 << 20
@@ -206,17 +214,33 @@ class Manifest:
         return dict(self.assumptions)
 
 
+@dataclass(frozen=True, slots=True)
+class Column:
+    """The stored cells of one sheet column, in row order.
+
+    ``formulas`` holds the addresses of the formula cells among them and
+    ``before[i]`` counts the formula cells above position ``i``, so the
+    formula cells of a slice ``lo:hi`` are ``formulas[before[lo]:before[hi]]``.
+    """
+
+    rows: list[int]
+    cells: list[Cell]
+    formulas: list[CellAddress]
+    before: list[int]
+
+
 @dataclass(slots=True)
 class Sheet:
     """One sheet: a name plus a sparse cell map keyed by ``(col, row)``.
 
     Treat as immutable once part of a workbook; the reading-order cell
-    list is memoized.
+    list and the column index are memoized.
     """
 
     name: str
     cells: dict[tuple[int, int], Cell] = field(default_factory=dict)
     _sorted: list | None = field(default=None, init=False, repr=False, compare=False)
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def cell(self, col: int, row: int) -> Cell | None:
         return self.cells.get((col, row))
@@ -226,6 +250,34 @@ class Sheet:
         if self._sorted is None or len(self._sorted) != len(self.cells):
             self._sorted = sorted(self.cells.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         return self._sorted
+
+    def column_slices(self, c1: int, r1: int, c2: int, r2: int) -> list[tuple[Column, int, int]]:
+        """The stored cells inside a rectangle, as ``(column, lo, hi)`` per
+        nonempty column in column order: ``column.cells[lo:hi]`` lie inside.
+
+        The column index is built on first use; a rectangle then costs a
+        bisection per occupied column inside it, whatever its area.
+        """
+        if self._columns is None:
+            by_col: dict[int, Column] = {}
+            for (col, row), cell in self.sorted_items():
+                column = by_col.get(col)
+                if column is None:
+                    column = by_col[col] = Column([], [], [], [0])
+                column.rows.append(row)
+                column.cells.append(cell)
+                if cell.formula is not None:
+                    column.formulas.append(CellAddress(self.name, col, row))
+                column.before.append(len(column.formulas))
+            self._columns = (sorted(by_col), by_col)
+        cols, by_col = self._columns
+        out = []
+        for col in cols[bisect_left(cols, c1):bisect_right(cols, c2)]:
+            column = by_col[col]
+            lo, hi = bisect_left(column.rows, r1), bisect_right(column.rows, r2)
+            if lo < hi:
+                out.append((column, lo, hi))
+        return out
 
 
 @dataclass(slots=True)
@@ -255,15 +307,25 @@ class Workbook:
         pos = self._sheet_index.get(name.casefold())
         return self.sheets[pos] if pos is not None else None
 
+    def resolve(self, ref: Reference | RangeRef, origin_sheet: str) -> Sheet | str | None:
+        """What a parsed reference in a formula on ``origin_sheet`` reads.
+
+        The name of another workbook for an external reference, ``None``
+        for a sheet this workbook lacks, else the stored :class:`Sheet`.
+        Sheet names match case-insensitively; an unqualified reference
+        reads its own sheet. The graph and the evaluator both ask here.
+        """
+        head = getattr(ref, "start", ref)  # a range is qualified by its first corner
+        if head.external is not None:
+            return head.external
+        return self.sheet(head.sheet or origin_sheet)
+
     def sheet_rank(self, name: str) -> int:
         """Position of a sheet in workbook order; used for deterministic sorting."""
         pos = self._sheet_index.get(name.casefold())
         if pos is None:
             raise KeyError(name)
         return pos
-
-    def has_sheet(self, name: str) -> bool:
-        return name.casefold() in self._sheet_index
 
     def cell(self, addr: CellAddress) -> Cell | None:
         sheet = self.sheet(addr.sheet)

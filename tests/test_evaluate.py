@@ -437,6 +437,16 @@ class TestNonFinite:
         assert eval_one('="1e3"+1') == num(1001)
         assert eval_one("=SUM(A1:A2)", {"A1": 1e308, "A2": -1e308}) == num(0)
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["=SUM(C1:C1)", "=AVERAGE(C1:C1)", "=MIN(C1:C1)", "=MAX(C1:C1)", "=MIN(A1:C1)",
+         "=MAX(C1,A1)", "=ABS(C1)", "=-C1", "=SUM(B1,D1)", "=MAX(B1:B1)", "=-D1"],
+    )
+    def test_non_finite_input_is_value_error(self, formula):
+        # only a Workbook built in memory can hold these; the loader rejects them
+        inputs = {"A1": 1, "B1": math.inf, "C1": math.nan, "D1": -math.inf}
+        assert eval_one(formula, inputs) == err("#VALUE!")
+
     @pytest.mark.parametrize("formula", ['="nan"+1', '="inf"*1', "=1e308*10", '=ABS("nan")'])
     def test_cached_number_is_stale(self, formula):
         wb = make_workbook({"S": {"B1": (formula, 1)}})

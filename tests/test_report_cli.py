@@ -15,7 +15,7 @@ from sheetsentry.report import (
     report_to_dict,
 )
 from sheetsentry.rules import Severity
-from sheetsentry.workbook import col_to_letters
+from sheetsentry.workbook import CellValue, ValueKind, col_to_letters
 
 from conftest import make_workbook, write_wbjson
 
@@ -37,6 +37,20 @@ class TestRenderJson:
         report = audit_workbook(str(fixtures_dir / "all_rules.json"))
         text = render_json(report)
         assert report_from_json(text) == report
+
+    def test_round_trip_of_stale_values_of_every_kind(self):
+        wb = make_workbook({"S": {
+            "A1": ("=Z1", 5),          # recomputes to a blank
+            "A2": ("=1/0", 1),         # an error
+            "A3": ("=1=1", "x"),       # a boolean, cached as text
+            "A4": ('="a"', None),      # text, cached as a blank
+            "A5": ("=2", CellValue.error("#N/A")),
+        }})
+        report = audit_workbook(wb)
+        kinds = {e.recomputed.kind for e in report.stale_entries}
+        kinds |= {e.cached.kind for e in report.stale_entries}
+        assert kinds == set(ValueKind)
+        assert report_from_json(render_json(report)) == report
 
     def test_byte_identical(self, fixtures_dir):
         report = audit_workbook(str(fixtures_dir / "all_rules.json"))
