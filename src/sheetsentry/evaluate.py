@@ -192,7 +192,12 @@ class Engine:
             ast = self.asts.get(node)
             if ast is not None:
                 self._current_tainted = False
-                self.values[node] = self._eval(ast, node.sheet)
+                val = self._eval(ast, node.sheet)
+                if val.kind is ValueKind.NUMBER and not math.isfinite(val.value):
+                    # a NaN or infinite input, which only a Workbook built in
+                    # memory can hold, read through a reference unchanged
+                    val = _VALUE_ERR
+                self.values[node] = val
                 if self._current_tainted:
                     self.tainted.add(node)
         self._ran = True

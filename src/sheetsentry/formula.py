@@ -8,10 +8,13 @@ boolean literals. See ``docs/grammar.md`` for the EBNF.
 Operator precedence, low to high: comparisons, ``&``, additive,
 multiplicative, ``^``, unary sign. All levels are left-associative except
 ``^``, which is right-associative; unary sign binds tighter than ``^``.
+``_BINARY_LEVEL`` is the one precedence table: the parser climbs it and
+the serializer reads it to place parentheses.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -182,7 +185,6 @@ class Binary:
 
 FormulaAst = Union[NumberLit, TextLit, BoolLit, Ref, Range, Call, Unary, Binary]
 
-_COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 _BINARY_LEVEL = {
     "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
     "&": 2,
@@ -214,6 +216,9 @@ def number_literal(x: float) -> str:
     decimal point, everything else uses the shortest round-tripping form."""
     if x == 0:
         return "0"
+    if x == math.inf:
+        # an overflowing literal parses to inf; this one parses back to it
+        return "1e999"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
@@ -298,59 +303,19 @@ class _Parser:
             self.fail()
         return ast
 
-    def expression(self) -> FormulaAst:
-        return self.comparison()
-
-    # operator loops dispatch on the current token directly; the expected-
-    # token bookkeeping happens at the atom level, where parses can fail
-
-    def comparison(self) -> FormulaAst:
-        node = self.concat()
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind is TokenKind.OP and tok.lexeme in _COMPARISON_OPS:
-                self.pos += 1
-                node = Binary(tok.lexeme, node, self.concat())
-            else:
-                return node
-
-    def concat(self) -> FormulaAst:
-        node = self.additive()
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind is TokenKind.OP and tok.lexeme == "&":
-                self.pos += 1
-                node = Binary("&", node, self.additive())
-            else:
-                return node
-
-    def additive(self) -> FormulaAst:
-        node = self.multiplicative()
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind is TokenKind.OP and (tok.lexeme == "+" or tok.lexeme == "-"):
-                self.pos += 1
-                node = Binary(tok.lexeme, node, self.multiplicative())
-            else:
-                return node
-
-    def multiplicative(self) -> FormulaAst:
-        node = self.power()
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind is TokenKind.OP and (tok.lexeme == "*" or tok.lexeme == "/"):
-                self.pos += 1
-                node = Binary(tok.lexeme, node, self.power())
-            else:
-                return node
-
-    def power(self) -> FormulaAst:
+    def expression(self, level: int = 1) -> FormulaAst:
+        """Operands joined by operators of at least ``level``, climbing
+        ``_BINARY_LEVEL`` (only operator tokens have lexemes in it). The loop
+        leaves ``attempted`` to the atoms, where parses can fail."""
         node = self.unary()
-        tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.OP and tok.lexeme == "^":
+        while True:
+            op = self.tokens[self.pos].lexeme
+            op_level = _BINARY_LEVEL.get(op, 0)
+            if op_level < level:
+                return node
             self.pos += 1
-            return Binary("^", node, self.power())
-        return node
+            # ^ is right-associative: its right operand may hold another ^
+            node = Binary(op, node, self.expression(op_level if op == "^" else op_level + 1))
 
     def unary(self) -> FormulaAst:
         tok = self.tokens[self.pos]
@@ -509,10 +474,6 @@ def _cell_a1(ref: Reference) -> str:
     )
 
 
-def _render_range_a1(rng: RangeRef) -> str:
-    return f"{_qualifier(rng.start)}{_cell_a1(rng.start)}:{_cell_a1(rng.end)}"
-
-
 def _node_level(node: FormulaAst) -> int:
     if isinstance(node, Binary):
         return _BINARY_LEVEL[node.op]
@@ -523,13 +484,15 @@ def _node_level(node: FormulaAst) -> int:
 
 def render_ast(
     node: FormulaAst,
-    ref_renderer: Callable[[Reference], str],
-    range_renderer: Callable[[RangeRef], str],
+    qualifier: Callable[[Reference], str],
+    cell: Callable[[Reference], str],
 ) -> str:
     """Render an AST to text with minimal parentheses.
 
-    The reference renderers are swapped out by the normalizer to produce
-    origin-relative text; everything else is shared.
+    ``qualifier`` renders a reference's sheet prefix (with its ``!``) and
+    ``cell`` its coordinates; a range is the start's qualifier and both
+    corners' cells around a ``:``. The normalizer swaps both out to
+    produce origin-relative text; everything else is shared.
     """
     if isinstance(node, NumberLit):
         return number_literal(node.value)
@@ -538,21 +501,22 @@ def render_ast(
     if isinstance(node, BoolLit):
         return "TRUE" if node.value else "FALSE"
     if isinstance(node, Ref):
-        return ref_renderer(node.ref)
+        return qualifier(node.ref) + cell(node.ref)
     if isinstance(node, Range):
-        return range_renderer(node.ref)
+        rng = node.ref
+        return f"{qualifier(rng.start)}{cell(rng.start)}:{cell(rng.end)}"
     if isinstance(node, Call):
-        args = ",".join(render_ast(a, ref_renderer, range_renderer) for a in node.args)
+        args = ",".join(render_ast(a, qualifier, cell) for a in node.args)
         return f"{node.name}({args})"
     if isinstance(node, Unary):
-        text = render_ast(node.operand, ref_renderer, range_renderer)
+        text = render_ast(node.operand, qualifier, cell)
         if _node_level(node.operand) < _UNARY_LEVEL:
             text = f"({text})"
         return f"{node.op}{text}"
     if isinstance(node, Binary):
         level = _BINARY_LEVEL[node.op]
-        left = render_ast(node.left, ref_renderer, range_renderer)
-        right = render_ast(node.right, ref_renderer, range_renderer)
+        left = render_ast(node.left, qualifier, cell)
+        right = render_ast(node.right, qualifier, cell)
         if node.op == "^":
             # right-associative: any binary left child rebinds without parens
             if isinstance(node.left, Binary):
@@ -573,39 +537,28 @@ def serialize_formula(ast: FormulaAst) -> str:
 
     ``parse_formula("=" + serialize_formula(ast))`` reproduces ``ast``.
     """
-    return render_ast(ast, render_a1, _render_range_a1)
+    return render_ast(ast, _qualifier, _cell_a1)
 
 
 def collect_references(ast: FormulaAst) -> list[Reference | RangeRef]:
     """Every Ref/Range payload in the tree, in left-to-right source order."""
-    out: list[Reference | RangeRef] = []
-    _walk_refs(ast, out)
-    return out
-
-
-def _walk_refs(node: FormulaAst, out: list[Reference | RangeRef]) -> None:
-    if isinstance(node, Ref):
-        out.append(node.ref)
-    elif isinstance(node, Range):
-        out.append(node.ref)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _walk_refs(arg, out)
-    elif isinstance(node, Unary):
-        _walk_refs(node.operand, out)
-    elif isinstance(node, Binary):
-        _walk_refs(node.left, out)
-        _walk_refs(node.right, out)
+    return [node.ref for node in walk(ast) if isinstance(node, (Ref, Range))]
 
 
 def walk(node: FormulaAst) -> Iterator[FormulaAst]:
-    """Depth-first pre-order traversal of every node in the tree."""
-    yield node
-    if isinstance(node, Call):
-        for arg in node.args:
-            yield from walk(arg)
-    elif isinstance(node, Unary):
-        yield from walk(node.operand)
-    elif isinstance(node, Binary):
-        yield from walk(node.left)
-        yield from walk(node.right)
+    """Depth-first pre-order traversal of every node in the tree.
+
+    An explicit stack, so a deep tree cannot overflow the call stack and
+    each node is yielded once, not through every enclosing generator.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Binary):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack.extend(reversed(node.args))

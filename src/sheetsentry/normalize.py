@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .formula import (
     FormulaAst,
-    RangeRef,
     Reference,
     parse_all_formulas,
     render_ast,
@@ -95,19 +94,9 @@ def normalize(ast: FormulaAst, origin: CellAddress) -> NormalizedFormula:
     Total on parsed formulas; the origin is the address of the cell that
     holds the formula.
     """
-
-    def ref_renderer(ref: Reference) -> str:
-        return _r1c1_qualifier(ref) + _r1c1_cell(ref, origin)
-
-    def range_renderer(rng: RangeRef) -> str:
-        return (
-            _r1c1_qualifier(rng.start)
-            + _r1c1_cell(rng.start, origin)
-            + ":"
-            + _r1c1_cell(rng.end, origin)
-        )
-
-    return NormalizedFormula(render_ast(ast, ref_renderer, range_renderer))
+    return NormalizedFormula(
+        render_ast(ast, _r1c1_qualifier, lambda ref: _r1c1_cell(ref, origin))
+    )
 
 
 def copy_classes(

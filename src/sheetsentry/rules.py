@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
@@ -254,18 +255,12 @@ class RuleConfig:
         return replace(self, enabled=self.enabled - {rule_id})
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "enabled": sorted(self.enabled),
-            "const_min_repeats": self.const_min_repeats,
-            "const_whitelist": sorted(self.const_whitelist),
-            "max_branches": self.max_branches,
-            "max_formula_tokens": self.max_formula_tokens,
-            "min_copy_class_for_hole": self.min_copy_class_for_hole,
-            "lookup_cost_threshold": self.lookup_cost_threshold,
-            "script_min_lines": self.script_min_lines,
-            "script_min_comment_ratio": self.script_min_comment_ratio,
-            "script_min_indent_ratio": self.script_min_indent_ratio,
-        }
+        """Every field in declaration order; sets become sorted lists."""
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = sorted(value) if isinstance(value, frozenset) else value
+        return out
 
 
 def _finding(
@@ -410,7 +405,8 @@ def _literal_values(ast) -> list[float]:
             skip.add(id(node.operand))
         elif isinstance(node, NumberLit):
             out.append(node.value)
-    return out
+    # 1e999 overflows to inf, which no JSON number can carry into evidence
+    return [value for value in out if math.isfinite(value)]
 
 
 def check_deep_nesting(

@@ -82,6 +82,15 @@ def write_wbjson(tmp_path: Path, doc: dict, name: str = "wb.json") -> str:
     return str(path)
 
 
+def _not_json(name: str):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects ``NaN`` and ``Infinity``."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES

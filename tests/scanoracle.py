@@ -23,7 +23,7 @@ def _stored(sheet: Sheet) -> list[tuple[int, int]]:
 
 class ScanEngine(Engine):
     def _iter_range_cells(self, rng: RangeRef, origin_sheet: str):
-        found = self.wb.sheet(rng.start.sheet or origin_sheet)
+        found = self._sheet(rng, origin_sheet)
         if found is None:
             return None
         stored = _stored(found)

@@ -440,7 +440,8 @@ class TestNonFinite:
     @pytest.mark.parametrize(
         "formula",
         ["=SUM(C1:C1)", "=AVERAGE(C1:C1)", "=MIN(C1:C1)", "=MAX(C1:C1)", "=MIN(A1:C1)",
-         "=MAX(C1,A1)", "=ABS(C1)", "=-C1", "=SUM(B1,D1)", "=MAX(B1:B1)", "=-D1"],
+         "=MAX(C1,A1)", "=ABS(C1)", "=-C1", "=SUM(B1,D1)", "=MAX(B1:B1)", "=-D1",
+         "=C1", "=+C1", "=IF(TRUE,C1)", "=VLOOKUP(1,C1:C1,1,FALSE)", "=B1"],
     )
     def test_non_finite_input_is_value_error(self, formula):
         # only a Workbook built in memory can hold these; the loader rejects them

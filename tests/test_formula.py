@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from sheetsentry.formula import (
     TextLit,
     TokenKind,
     Unary,
+    _BINARY_LEVEL,
     collect_references,
     make_range,
     parse_formula,
@@ -210,6 +212,18 @@ class TestParse:
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
             parse_formula("=(1+2")
+
+    @pytest.mark.parametrize("a,b", itertools.product(_BINARY_LEVEL, repeat=2))
+    def test_every_operator_pair_groups_by_the_table(self, a, b):
+        one, two, three = NumberLit(1.0), NumberLit(2.0), NumberLit(3.0)
+        level_a, level_b = _BINARY_LEVEL[a], _BINARY_LEVEL[b]
+        if level_a > level_b or (level_a == level_b and a != "^"):
+            expected = Binary(b, Binary(a, one, two), three)
+        else:
+            expected = Binary(a, one, Binary(b, two, three))
+        text = f"1{a}2{b}3"
+        assert parse_formula("=" + text) == expected
+        assert serialize_formula(expected) == text
 
 
 class TestSerialize:

@@ -27,7 +27,7 @@ INPUTS = [
 ]
 FORMULAS = [
     "=1+1", '="A"', "=TRUE", "=Z99", "=1/0", "=[X]S!A1",
-    "=COUNT([X]S!A1)", "=COUNT([X]S!A1)+1", '=IF(COUNT([X]S!A1),1,"b")',
+    "=COUNT([X]S!A1)", "=COUNT([X]S!A1)+1", '=IF(COUNT([X]S!A1),1,"b")', "=SUM([X]S!A1:B2)",
 ]
 ROWS, COLS = 6, 3
 AGGREGATES = ["SUM", "AVERAGE", "MIN", "MAX", "COUNT", "AND", "OR"]

@@ -17,7 +17,7 @@ from sheetsentry.report import (
 from sheetsentry.rules import Severity
 from sheetsentry.workbook import CellValue, ValueKind, col_to_letters
 
-from conftest import make_workbook, write_wbjson
+from conftest import make_workbook, strict_json, write_wbjson
 
 
 def synthetic_classes(n):
@@ -263,6 +263,38 @@ class TestCliCommands:
         code = main(["audit", str(fixtures_dir / "clean.json")])
         assert code == 2
         assert capsys.readouterr().err == "sheetsentry: internal error: RuntimeError: boom\n"
+
+
+class TestRobustness:
+    def test_overflowing_literal_is_a_stale_value(self, tmp_path, capsys):
+        path = write_wbjson(tmp_path, {
+            "manifest": {"specification": "one overflowing literal"},
+            "sheets": [{"name": "S", "cells": {"A1": {"f": "=1e999", "v": 0}}}],
+        })
+        assert main(["audit", path, "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [f["rule_id"] for f in doc["findings"]] == ["STALE_VALUE"]
+        [entry] = doc["staleness"]["entries"]
+        assert entry["recomputed"] == {"err": "#VALUE!"}
+
+    def test_overflowing_literal_is_no_json_constant(self, tmp_path, capsys):
+        # in three classes, 1e999 would otherwise be a repeated constant
+        path = write_wbjson(tmp_path, {"sheets": [{"name": "S", "cells": {
+            "A1": {"v": 1},
+            "B1": {"f": "=A1*1e999"}, "B2": {"f": "=A1+1e999"}, "B3": {"f": "=1e999-A1"},
+        }}]})
+        assert main(["audit", path, "--format", "json"]) == 1
+        doc = strict_json(capsys.readouterr().out)
+        assert "HARDCODED_CONSTANT" not in [f["rule_id"] for f in doc["findings"]]
+
+    def test_deep_parentheses_audit(self, tmp_path):
+        path = write_wbjson(tmp_path, {
+            "manifest": {"specification": "deeply parenthesised constant"},
+            "sheets": [{"name": "S", "cells": {
+                "A1": {"f": "=" + "(" * 300 + "1" + ")" * 300, "v": 1},
+            }}],
+        })
+        assert main(["audit", path]) == 0
 
 
 class TestSeverityThreshold:
