@@ -22,7 +22,6 @@ from .evaluate import (
     Engine,
     StalenessEntry,
     StalenessReport,
-    evaluate_cell,
     recompute_workbook,
     staleness_report,
 )
@@ -56,22 +55,18 @@ from .graph import (
 )
 from .metrics import (
     Analysis,
-    ErrorModel,
     ScriptMetrics,
     WorkbookMetrics,
     branch_count,
     compute_metrics,
     error_probability,
     formula_cost,
-    recalc_cost,
     script_metrics,
 )
 from .normalize import (
     CopyClass,
-    NormalizedFormula,
     copy_classes,
     normalize,
-    unique_formula_count,
 )
 from .report import (
     AuditReport,
@@ -102,10 +97,8 @@ from .workbook import (
     ValueKind,
     Workbook,
     WorkbookSettings,
-    formula_cells,
     load_workbook,
     parse_address,
-    render_address,
 )
 
 __version__ = VERSION

@@ -28,10 +28,15 @@ class AddressParseError(SheetSentryError):
 
 
 class LexError(SheetSentryError):
-    """Illegal character or unterminated literal in formula text."""
+    """Illegal character or unterminated literal in formula text.
+
+    ``message`` is the bare message; the offset is appended only to the
+    exception's text.
+    """
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -39,11 +44,13 @@ class ParseError(SheetSentryError):
     """Formula text does not match the grammar.
 
     ``offset`` is the position inside the parsed source; ``expected`` is the
-    set of token kinds that would have been accepted there.
+    set of token kinds that would have been accepted there. As for
+    :class:`LexError`, ``message`` is the text without the offset.
     """
 
     def __init__(self, message: str, offset: int, expected: frozenset[str] = frozenset()) -> None:
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
         self.expected = expected
 

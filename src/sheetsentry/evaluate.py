@@ -35,7 +35,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import UnknownNodeError
 from .formula import (
     Binary,
     BoolLit,
@@ -166,25 +165,18 @@ class Engine:
 
     # -- orchestration
 
-    def run(self, tie_break: str = "min") -> None:
-        """Evaluate every formula cell.
+    def run(self) -> None:
+        """Evaluate every formula cell, once.
 
-        ``tie_break`` selects which ready node a topological step prefers
-        ("min" or "max" address order); any choice yields identical values,
-        which the test suite exercises. Only formula cells are scheduled
-        (:attr:`DepGraph.formulas`). Formula cells on a reference cycle get
-        ``#CIRC!`` before anything downstream of them is evaluated.
+        Only formula cells are scheduled, over :attr:`DepGraph.formulas` in
+        :func:`schedule`'s order. Any order that puts precedents first gives
+        the same values, which the tests check by scheduling with the
+        reversed key. Formula cells on a reference cycle get ``#CIRC!``
+        before anything downstream of them is evaluated.
         """
         if self._ran:
             return
-        g = self.graph.formulas
-        if tie_break == "min":
-            key = g.sort_key
-        else:
-            def key(node):
-                return tuple(-x for x in g.sort_key(node))
-
-        order, in_cycle = schedule(g, key)
+        order, in_cycle = schedule(self.graph.formulas)
         for node in in_cycle:
             if node in self.asts:
                 self.values[node] = _CIRC
@@ -201,16 +193,6 @@ class Engine:
                 if self._current_tainted:
                     self.tainted.add(node)
         self._ran = True
-
-    def value_of(self, addr: CellAddress) -> CellValue:
-        """Recomputed value for any address (Blank for unstored cells)."""
-        self.run()
-        if addr in self.values:
-            return self.values[addr]
-        cell = self.wb.cell(addr)
-        if cell is not None:
-            return cell.cached
-        return BLANK
 
     # -- cell/range resolution
 
@@ -531,7 +513,8 @@ class Engine:
         if col_val.is_error():
             return col_val
         col_num = _to_number(col_val)
-        if col_num is None or int(col_num) < 1:
+        # a NaN or infinite index is only possible in a Workbook built in memory
+        if col_num is None or not math.isfinite(col_num) or col_num < 1:
             return _VALUE_ERR
         offset = int(col_num) - 1
         if rng.start.col + offset > rng.end.col:
@@ -673,27 +656,15 @@ def _round_half_away(x: float, digits: int) -> float:
     return math.copysign(math.floor(abs(scaled) + 0.5), x) / factor
 
 
-def evaluate_cell(wb: Workbook, g: DepGraph, addr: CellAddress) -> CellValue:
-    """Recomputed value of one cell.
-
-    Raises :class:`UnknownNodeError` when the address is neither a stored
-    cell nor a node of the graph.
-    """
-    if wb.cell(addr) is None and not g.has_node(addr):
-        raise UnknownNodeError(f"not a cell or graph node: {addr}")
-    engine = Engine(wb, graph=g)
-    return engine.value_of(addr)
-
-
-def recompute_workbook(wb: Workbook, tie_break: str = "min") -> dict[CellAddress, CellValue]:
+def recompute_workbook(wb: Workbook) -> dict[CellAddress, CellValue]:
     """Recompute every formula cell from the workbook's inputs.
 
     Returns a map from formula-cell address to recomputed value; cells on
-    reference cycles map to ``#CIRC!``. Any valid evaluation order gives
-    identical results (``tie_break`` picks one; see :meth:`Engine.run`).
+    reference cycles map to ``#CIRC!``. A stored input's value is its
+    ``Workbook.cell(addr).cached``.
     """
     engine = Engine(wb)
-    engine.run(tie_break=tie_break)
+    engine.run()
     return dict(engine.values)
 
 

@@ -228,18 +228,19 @@ def parse_formula(src: str) -> FormulaAst:
     """Parse formula source (with leading ``=``) into an AST.
 
     Raises :class:`ParseError` carrying an offset into ``src`` and the set
-    of token kinds that were expected at that point.
+    of token kinds that were expected at that point, or, at offset 1, when
+    the formula nests deeper than the parser's call stack allows.
     """
     if not src.startswith("="):
         raise ParseError("formula must start with '='", 0, frozenset({"="}))
-    body = src[1:]
     try:
-        tokens = tokenize(body)
+        tokens = tokenize(src[1:])
     except LexError as exc:
-        raise ParseError(str(exc), exc.offset + 1) from exc
-    parser = _Parser(tokens)
-    ast = parser.parse()
-    return ast
+        raise ParseError(exc.message, exc.offset + 1) from exc
+    try:
+        return _Parser(tokens).parse()
+    except RecursionError:
+        raise ParseError("formula nests too deeply", 1) from None
 
 
 def parse_all_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
@@ -251,7 +252,9 @@ def parse_all_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
         try:
             asts[addr] = parse_formula(cell.formula)
         except ParseError as exc:
-            raise ParseError(f"{addr.qualified()}: {exc}", exc.offset, exc.expected) from exc
+            raise ParseError(
+                f"{addr.qualified()}: {exc.message}", exc.offset, exc.expected
+            ) from exc
     return asts
 
 

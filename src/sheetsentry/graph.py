@@ -185,9 +185,6 @@ class DepGraph:
     def edge_count(self) -> int:
         return sum(len(v) for v in self._deps.values())
 
-    def has_node(self, node: Node) -> bool:
-        return node in self._preds
-
     def precedents(self, node: Node) -> list[Node]:
         """Direct precedents of a node, in deterministic order."""
         if node not in self._preds:
@@ -306,15 +303,17 @@ def _expand(
     return ordered(preds), ordered(deps)
 
 
-def schedule(g: DepGraph, key: Callable[[Node], tuple]) -> tuple[list[Node], set[Node]]:
+def schedule(g: DepGraph) -> tuple[list[Node], set[Node]]:
     """Evaluation order of every node that is not on a cycle, plus the cycle nodes.
 
-    A Kahn loop that pops the ready node with the smallest ``key``, so every
-    edge between two ordered nodes goes forward. When it stalls, the
-    remaining nodes sit on or downstream of cycles: the edges leaving cycle
-    nodes are released once and the loop goes on, so nodes downstream of a
-    cycle come after everything else they depend on.
+    A Kahn loop that pops the ready node with the smallest ``g.sort_key``
+    (sheet order, row, column), so every edge between two ordered nodes
+    goes forward and ties break the same way on every run. When it stalls,
+    the remaining nodes sit on or downstream of cycles: the edges leaving
+    cycle nodes are released once and the loop goes on, so nodes downstream
+    of a cycle come after everything else they depend on.
     """
+    key = g.sort_key
     deps = g._deps
     indegree = {node: len(ps) for node, ps in g._preds.items()}
     # the initial ready set is sorted once; only released nodes go on the heap
@@ -360,7 +359,7 @@ def topo_order(g: DepGraph) -> list[Node] | CycleReport:
     lists every strongly connected component with two or more nodes or a
     self-loop.
     """
-    order, in_cycle = schedule(g, g.sort_key)
+    order, in_cycle = schedule(g)
     return CycleReport(cyclic_components(g)) if in_cycle else order
 
 

@@ -31,24 +31,6 @@ from .workbook import CellAddress, ScriptModule, Workbook
 DEFAULT_ERROR_RATE = 0.01
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorModel:
-    """Per-unique-formula error rate plus the workbook's unique count."""
-
-    p: float = DEFAULT_ERROR_RATE
-    n: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"error rate must lie in [0, 1], got {self.p}")
-        if self.n < 0:
-            raise DomainError(f"unique-formula count must be >= 0, got {self.n}")
-
-    @property
-    def probability(self) -> float:
-        return error_probability(self.p, self.n)
-
-
 def error_probability(p: float, n: int) -> float:
     """Probability that at least one of ``n`` unique formulas is wrong."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -137,26 +119,11 @@ def _node_cost(node: FormulaAst) -> int:
 
 
 def formula_cost(ast: FormulaAst) -> int:
-    """Modeled recalculation cost of one formula cell (always >= 1)."""
-    return 1 + _node_cost(ast)
+    """Modeled recalculation cost of one formula cell (always >= 1).
 
-
-def cell_costs(wb: Workbook) -> dict[CellAddress, int]:
-    """Per-cell recalculation cost for every formula cell."""
-    return {addr: formula_cost(ast) for addr, ast in parse_all_formulas(wb).items()}
-
-
-def recalc_cost(wb: Workbook, k: int = 10) -> tuple[int, list[tuple[CellAddress, int]]]:
-    """Total modeled recalculation cost and the top-k most expensive cells.
-
-    The top list is sorted by descending cost; ties break by address order.
+    A workbook's total is :attr:`WorkbookMetrics.cost_estimate`.
     """
-    costs = cell_costs(wb)
-    total = sum(costs.values())
-    ranked = sorted(
-        costs.items(), key=lambda kv: (-kv[1],) + wb.address_sort_key(kv[0])
-    )
-    return total, ranked[:k]
+    return 1 + _node_cost(ast)
 
 
 _COMMENT_RE = re.compile(r"\s*(?:'|rem\b)", re.IGNORECASE)

@@ -2,14 +2,15 @@
 
 Two formulas that differ only by a pure copy translation (the same row and
 column shift applied to every relative reference) normalize to identical
-text, so the number of distinct normalized forms in a workbook is its
-unique-formula count. References render in R1C1 style relative to the
-cell holding the formula: ``R[-1]C[2]`` for relative parts (the bracket
-term is omitted when the offset is zero), ``R5``/``C3`` for absolute
-parts. External references keep their workbook and sheet qualifiers and
-always render as absolute coordinates: a copied link is still the same
-link. Sheet and workbook qualifiers are uppercased because sheet-name
-comparison is case-insensitive.
+text. :func:`copy_classes` groups a workbook's formula cells by that
+text, so ``len(copy_classes(wb))`` is its unique-formula count.
+References render in R1C1 style relative to the cell holding the formula:
+``R[-1]C[2]`` for relative parts (the bracket term is omitted when the
+offset is zero), ``R5``/``C3`` for absolute parts. External references
+keep their workbook and sheet qualifiers and always render as absolute
+coordinates: a copied link is still the same link. Sheet and workbook
+qualifiers are uppercased because sheet-name comparison is
+case-insensitive.
 """
 
 from __future__ import annotations
@@ -24,34 +25,19 @@ from .formula import (
 )
 from .workbook import CellAddress, Workbook
 
-__all__ = [
-    "NormalizedFormula",
-    "CopyClass",
-    "normalize",
-    "copy_classes",
-    "unique_formula_count",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class NormalizedFormula:
-    """Canonical relative-form text of a formula."""
-
-    text: str
-
-    def __str__(self) -> str:
-        return self.text
+__all__ = ["CopyClass", "normalize", "copy_classes"]
 
 
 @dataclass(frozen=True, slots=True)
 class CopyClass:
     """All cells whose formulas share one normalized form.
 
+    ``normalized`` is the text :func:`normalize` gives every member.
     ``members`` is sorted by sheet order, then row, then column; the first
     member serves as the class representative in findings.
     """
 
-    normalized: NormalizedFormula
+    normalized: str
     members: tuple[CellAddress, ...]
 
     @property
@@ -88,15 +74,13 @@ def _r1c1_qualifier(ref: Reference) -> str:
     return ""
 
 
-def normalize(ast: FormulaAst, origin: CellAddress) -> NormalizedFormula:
+def normalize(ast: FormulaAst, origin: CellAddress) -> str:
     """Render a formula in origin-relative form.
 
     Total on parsed formulas; the origin is the address of the cell that
     holds the formula.
     """
-    return NormalizedFormula(
-        render_ast(ast, _r1c1_qualifier, lambda ref: _r1c1_cell(ref, origin))
-    )
+    return render_ast(ast, _r1c1_qualifier, lambda ref: _r1c1_cell(ref, origin))
 
 
 def copy_classes(
@@ -114,15 +98,7 @@ def copy_classes(
         asts = parse_all_formulas(wb)
     groups: dict[str, list[CellAddress]] = {}
     for addr, ast in asts.items():
-        groups.setdefault(normalize(ast, addr).text, []).append(addr)
-    classes = [
-        CopyClass(NormalizedFormula(text), tuple(members))
-        for text, members in groups.items()
-    ]
+        groups.setdefault(normalize(ast, addr), []).append(addr)
+    classes = [CopyClass(text, tuple(members)) for text, members in groups.items()]
     classes.sort(key=lambda c: wb.address_sort_key(c.members[0]))
     return classes
-
-
-def unique_formula_count(wb: Workbook) -> int:
-    """The workbook's unique-formula count: its number of copy classes."""
-    return len(copy_classes(wb))

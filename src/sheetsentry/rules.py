@@ -15,12 +15,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .errors import FormatError, IoError
 from .evaluate import StalenessReport
-from .formula import Call, NumberLit, Unary, tokenize, walk
+from .formula import Call, FormulaAst, NumberLit, Unary, tokenize, walk
 from .graph import DepGraph
 from .metrics import Analysis, ScriptMetrics, branch_count, formula_cost
 from .normalize import CopyClass
@@ -251,9 +251,6 @@ class RuleConfig:
             raise FormatError("$", f"invalid JSON: {exc}") from exc
         return RuleConfig.from_dict(doc)
 
-    def without(self, rule_id: str) -> "RuleConfig":
-        return replace(self, enabled=self.enabled - {rule_id})
-
     def to_dict(self) -> dict[str, Any]:
         """Every field in declaration order; sets become sorted lists."""
         out: dict[str, Any] = {}
@@ -367,13 +364,12 @@ def check_calc_mode(settings: WorkbookSettings) -> list[Finding]:
 def check_hardcoded_constant(
     classes: list[CopyClass],
     cfg: RuleConfig,
-    asts_by_class: dict[str, Any],
+    asts: dict[CellAddress, FormulaAst],
 ) -> list[Finding]:
     """Numeric literals repeated across many distinct copy classes."""
     appearances: dict[float, list[CellAddress]] = {}
     for cls in classes:
-        ast = asts_by_class[cls.normalized.text]
-        for value in sorted(set(_literal_values(ast))):
+        for value in sorted(set(_literal_values(asts[cls.representative]))):
             appearances.setdefault(value, []).append(cls.representative)
     findings = []
     for value in sorted(appearances):
@@ -410,13 +406,13 @@ def _literal_values(ast) -> list[float]:
 
 
 def check_deep_nesting(
-    classes: list[CopyClass], cfg: RuleConfig, asts_by_class: dict[str, Any]
+    classes: list[CopyClass], cfg: RuleConfig, asts: dict[CellAddress, FormulaAst]
 ) -> list[Finding]:
     """Formulas whose conditional branch count exceeds the budget; reported
     once per copy class at its representative."""
     findings = []
     for cls in classes:
-        branches = branch_count(asts_by_class[cls.normalized.text])
+        branches = branch_count(asts[cls.representative])
         if branches > cfg.max_branches:
             findings.append(
                 _finding(
@@ -494,7 +490,7 @@ def check_copy_class_holes(
                     f"literal value {cell.cached.display()} interrupts a run of "
                     f"{len(cls.members)} copies of the same formula",
                     (
-                        ("normalized_formula", cls.normalized.text),
+                        ("normalized_formula", cls.normalized),
                         ("class_size", len(cls.members)),
                     ),
                 )
@@ -503,13 +499,13 @@ def check_copy_class_holes(
 
 
 def check_lookup_hotspots(
-    classes: list[CopyClass], cfg: RuleConfig, asts_by_class: dict[str, Any]
+    classes: list[CopyClass], cfg: RuleConfig, asts: dict[CellAddress, FormulaAst]
 ) -> list[Finding]:
     """Formulas that are both lookup-bearing and expensive under the cost
     model; reported once per copy class."""
     findings = []
     for cls in classes:
-        ast = asts_by_class[cls.normalized.text]
+        ast = asts[cls.representative]
         lookups = sum(
             1 for node in walk(ast) if isinstance(node, Call) and node.name == "VLOOKUP"
         )
@@ -569,8 +565,7 @@ def check_script_quality(
 def run_rules(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     """Run every enabled rule and return findings sorted by severity
     (descending), then rule id, then first location."""
-    wb, classes = analysis.wb, analysis.classes
-    asts_by_class = {cls.normalized.text: analysis.asts[cls.representative] for cls in classes}
+    wb, classes, asts = analysis.wb, analysis.classes, analysis.asts
 
     on = cfg.enabled
     findings: list[Finding] = []
@@ -584,15 +579,15 @@ def run_rules(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     if "MANUAL_CALC" in on:
         findings.extend(check_calc_mode(wb.settings))
     if "HARDCODED_CONSTANT" in on:
-        findings.extend(check_hardcoded_constant(classes, cfg, asts_by_class))
+        findings.extend(check_hardcoded_constant(classes, cfg, asts))
     if "DEEP_NESTING" in on:
-        findings.extend(check_deep_nesting(classes, cfg, asts_by_class))
+        findings.extend(check_deep_nesting(classes, cfg, asts))
     if "LONG_FORMULA" in on:
         findings.extend(check_long_formula(wb, classes, cfg))
     if "COPY_CLASS_HOLE" in on:
         findings.extend(check_copy_class_holes(wb, classes, cfg))
     if "LOOKUP_HOTSPOT" in on:
-        findings.extend(check_lookup_hotspots(classes, cfg, asts_by_class))
+        findings.extend(check_lookup_hotspots(classes, cfg, asts))
     if "SCRIPT_QUALITY" in on:
         findings.extend(check_script_quality(analysis.scripts, cfg))
 

@@ -70,11 +70,6 @@ def parse_address(text: str) -> tuple[int, int, bool, bool]:
     return col, row, bool(dollar_col), bool(dollar_row)
 
 
-def render_address(col: int, row: int, abs_col: bool = False, abs_row: bool = False) -> str:
-    """Render ``(col, row, abs_col, abs_row)`` back to A1 text."""
-    return f"{'$' if abs_col else ''}{col_to_letters(col)}{'$' if abs_row else ''}{row}"
-
-
 class ValueKind(Enum):
     NUMBER = "number"
     TEXT = "text"
@@ -145,18 +140,17 @@ class CellValue:
 BLANK = CellValue(ValueKind.BLANK)
 
 
-def format_number(x: float, sig_digits: int = 15) -> str:
+def format_number(x: float) -> str:
     """Canonical decimal text for a number: trailing zeros stripped,
-    integral values without a decimal point, at most ``sig_digits``
-    significant digits."""
+    integral values without a decimal point, at most 15 significant
+    digits."""
     if x != x or x in (math.inf, -math.inf):
         return repr(x)
     if x == 0:
         return "0"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    text = f"{x:.{sig_digits}g}"
-    return text
+    return f"{x:.15g}"
 
 
 class CellAddress(NamedTuple):
@@ -341,25 +335,6 @@ class Workbook:
 
     def address_sort_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_rank(addr.sheet), addr.row, addr.col)
-
-
-def formula_cells(wb: Workbook) -> int:
-    """Count cells that carry a formula, across all sheets."""
-    return sum(
-        1 for sheet in wb.sheets for cell in sheet.cells.values() if cell.formula is not None
-    )
-
-
-def value_cells(wb: Workbook) -> int:
-    """Count stored cells that carry no formula (literal inputs)."""
-    return sum(
-        1 for sheet in wb.sheets for cell in sheet.cells.values() if cell.formula is None
-    )
-
-
-def total_cells(wb: Workbook) -> int:
-    """Count all stored cells."""
-    return sum(len(sheet.cells) for sheet in wb.sheets)
 
 
 # --- interchange loader ----------------------------------------------------

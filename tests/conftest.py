@@ -76,6 +76,18 @@ def make_workbook(
     )
 
 
+def stored_formula_count(wb: Workbook) -> int:
+    """Stored cells that hold a formula, counted straight from the sheets."""
+    return sum(cell.formula is not None for _, cell in wb.iter_cells())
+
+
+def reverse_sort_key(g) -> None:
+    """Shadow a graph's ``sort_key`` with its reverse, so that ``schedule(g)``
+    and an engine scheduling over ``g`` pop the largest ready node."""
+    forward = g.sort_key
+    g.sort_key = lambda node: tuple(-x for x in forward(node))
+
+
 def write_wbjson(tmp_path: Path, doc: dict, name: str = "wb.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -8,13 +8,7 @@ import random
 
 import pytest
 
-from sheetsentry.errors import UnknownNodeError
-from sheetsentry.evaluate import (
-    Engine,
-    evaluate_cell,
-    recompute_workbook,
-    staleness_report,
-)
+from sheetsentry.evaluate import Engine, recompute_workbook, staleness_report
 from sheetsentry.formula import parse_all_formulas
 from sheetsentry.graph import (
     CycleReport,
@@ -24,9 +18,9 @@ from sheetsentry.graph import (
     schedule,
     topo_order,
 )
-from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
+from sheetsentry.workbook import Cell, CellValue, Sheet, Workbook
 
-from conftest import addr, make_workbook
+from conftest import addr, make_workbook, reverse_sort_key
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
 
 
@@ -195,9 +189,7 @@ class TestWorkbookRecompute:
         rng = random.Random(42)
         for _ in range(20):
             wb = random_acyclic_workbook(rng)
-            assert recompute_workbook(wb, tie_break="min") == recompute_workbook(
-                wb, tie_break="max"
-            )
+            assert recompute_workbook(wb) == recompute_reversed(wb)
 
     def test_oracle_equivalence_smoke(self):
         rng = random.Random(7)
@@ -248,8 +240,8 @@ class TestCycleScheduling:
     def test_matches_oracle_under_both_tie_breaks(self, name):
         cells, _ = CYCLE_CASES[name]
         wb = make_workbook({"S": cells})
-        values = recompute_workbook(wb, tie_break="min")
-        assert values == recompute_workbook(wb, tie_break="max")
+        values = recompute_workbook(wb)
+        assert values == recompute_reversed(wb)
         oracle_values = oracle_evaluate(wb)
         assert set(values) == set(oracle_values)
         for address, expected in oracle_values.items():
@@ -266,7 +258,7 @@ class TestCycleScheduling:
     def test_schedule_orders_everything_off_the_cycles(self, name):
         cells, components = CYCLE_CASES[name]
         g = build_graph(make_workbook({"S": cells}))
-        order, in_cycle = schedule(g, g.sort_key)
+        order, in_cycle = schedule(g)
         assert in_cycle == {addr("S", a1) for comp in components for a1 in comp}
         assert set(order) | in_cycle == set(g.nodes)
         assert len(order) + len(in_cycle) == g.node_count()
@@ -282,8 +274,17 @@ class TestCycleScheduling:
         workbooks += [random_acyclic_workbook(rng) for _ in range(30)]
         for wb in workbooks:
             for g in (build_graph(wb), build_graph(wb).formulas):
-                for key in (g.sort_key, lambda n, g=g: tuple(-x for x in g.sort_key(n))):
-                    assert schedule(g, key) == heap_schedule(g, key)
+                assert schedule(g) == heap_schedule(g, g.sort_key)
+                reverse_sort_key(g)
+                assert schedule(g) == heap_schedule(g, g.sort_key)
+
+
+def recompute_reversed(wb) -> dict:
+    """``recompute_workbook`` with the engine popping the largest ready node."""
+    engine = Engine(wb)
+    reverse_sort_key(engine.graph.formulas)
+    engine.run()
+    return dict(engine.values)
 
 
 def heap_schedule(g, key):
@@ -312,29 +313,6 @@ def heap_schedule(g, key):
             release(node)
         drain()
     return order, in_cycle
-
-
-class TestEvaluateCell:
-    def test_formula_cell(self):
-        wb = make_workbook({"S": {"A1": 2, "B1": "=A1*3"}})
-        g = build_graph(wb)
-        assert evaluate_cell(wb, g, addr("S", "B1")) == num(6)
-
-    def test_value_cell(self):
-        wb = make_workbook({"S": {"A1": 2, "B1": "=A1*3"}})
-        g = build_graph(wb)
-        assert evaluate_cell(wb, g, addr("S", "A1")) == num(2)
-
-    def test_referenced_blank(self):
-        wb = make_workbook({"S": {"B1": "=A9*3"}})
-        g = build_graph(wb)
-        assert evaluate_cell(wb, g, addr("S", "A9")) == BLANK
-
-    def test_unknown_node(self):
-        wb = make_workbook({"S": {"A1": 2}})
-        g = build_graph(wb)
-        with pytest.raises(UnknownNodeError):
-            evaluate_cell(wb, g, addr("S", "Q9"))
 
 
 class TestStaleness:
@@ -441,7 +419,8 @@ class TestNonFinite:
         "formula",
         ["=SUM(C1:C1)", "=AVERAGE(C1:C1)", "=MIN(C1:C1)", "=MAX(C1:C1)", "=MIN(A1:C1)",
          "=MAX(C1,A1)", "=ABS(C1)", "=-C1", "=SUM(B1,D1)", "=MAX(B1:B1)", "=-D1",
-         "=C1", "=+C1", "=IF(TRUE,C1)", "=VLOOKUP(1,C1:C1,1,FALSE)", "=B1"],
+         "=C1", "=+C1", "=IF(TRUE,C1)", "=VLOOKUP(1,C1:C1,1,FALSE)", "=B1",
+         "=VLOOKUP(1,A1:A1,C1,FALSE)", "=VLOOKUP(1,A1:A1,B1,FALSE)"],
     )
     def test_non_finite_input_is_value_error(self, formula):
         # only a Workbook built in memory can hold these; the loader rejects them
@@ -495,12 +474,15 @@ def full_view_formula_edges(g) -> set:
     return edges
 
 
-def values_over_full_view(wb, tie_break: str) -> dict:
-    """Recompute with the engine scheduled over the cell-level view."""
+def values_over_full_view(wb, pop: str) -> dict:
+    """Recompute with the engine scheduled over the cell-level view,
+    popping the smallest ("min") or the largest ("max") ready node."""
     g = build_graph(wb)
     g.formulas = g
+    if pop == "max":
+        reverse_sort_key(g)
     engine = Engine(wb, graph=g)
-    engine.run(tie_break=tie_break)
+    engine.run()
     return dict(engine.values)
 
 
@@ -524,12 +506,13 @@ class TestFormulaGraph:
         assert cycle_nodes(g.formulas) == cycle_nodes(g) & formulas
 
     @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
-    @pytest.mark.parametrize("tie_break", ["min", "max"])
-    def test_values_match_the_full_view(self, name, tie_break):
+    @pytest.mark.parametrize("pop", ["min", "max"])
+    def test_values_match_the_full_view(self, name, pop):
         wb = make_workbook(FORMULA_GRAPH_CASES[name])
         expected = values_over_full_view(wb, "min")
-        assert recompute_workbook(wb, tie_break=tie_break) == expected
-        assert values_over_full_view(wb, tie_break) == expected
+        recompute = recompute_reversed if pop == "max" else recompute_workbook
+        assert recompute(wb) == expected
+        assert values_over_full_view(wb, pop) == expected
 
     def test_cases_exercise_what_they_name(self):
         own = build_graph(make_workbook(FORMULA_GRAPH_CASES["range_contains_own_cell"]))

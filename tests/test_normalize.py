@@ -19,15 +19,15 @@ from sheetsentry.formula import (
     Unary,
     parse_formula,
 )
-from sheetsentry.normalize import copy_classes, normalize, unique_formula_count
-from sheetsentry.workbook import CellAddress, formula_cells
+from sheetsentry.normalize import copy_classes, normalize
+from sheetsentry.workbook import CellAddress
 
 from astgen import random_ast
-from conftest import addr, make_workbook
+from conftest import addr, make_workbook, stored_formula_count
 
 
 def norm_text(src: str, origin: CellAddress) -> str:
-    return normalize(parse_formula(src), origin).text
+    return normalize(parse_formula(src), origin)
 
 
 # --- brute-force translation oracle -----------------------------------------
@@ -166,22 +166,21 @@ class TestCopyClasses:
         classes = copy_classes(wb)
         assert len(classes) == 1
         assert len(classes[0].members) == 3
-        assert classes[0].normalized.text == "RC[-1]*2"
+        assert classes[0].normalized == "RC[-1]*2"
 
     def test_two_classes_same_text(self):
         wb = make_workbook({"S": {"B2": "=A2*2", "C2": "=A2*2"}})
         classes = copy_classes(wb)
-        texts = sorted(c.normalized.text for c in classes)
+        texts = sorted(c.normalized for c in classes)
         assert texts == ["RC[-1]*2", "RC[-2]*2"]
 
     def test_empty_workbook(self):
         wb = make_workbook({"S": {}})
         assert copy_classes(wb) == []
-        assert unique_formula_count(wb) == 0
 
     def test_pooled_across_sheets(self):
         wb = make_workbook({"S1": {"B2": "=A2*2"}, "S2": {"B9": "=A9*2"}})
-        assert unique_formula_count(wb) == 1
+        assert len(copy_classes(wb)) == 1
 
     def test_two_dimensional_fill_is_one_class(self):
         cells = {}
@@ -189,7 +188,7 @@ class TestCopyClasses:
             for row in (2, 3, 4):
                 cells[f"{col_letter}{row}"] = f"={chr(64 + col - 1)}{row - 1}*2"
         wb = make_workbook({"S": cells})
-        assert unique_formula_count(wb) == 1
+        assert len(copy_classes(wb)) == 1
 
     def test_partition_invariant(self):
         rng = random.Random(7)
@@ -200,7 +199,7 @@ class TestCopyClasses:
             cells[f"{chr(64 + col)}{row}"] = f"=A{row}*{rng.randrange(2, 5)}"
         wb = make_workbook({"S": cells})
         classes = copy_classes(wb)
-        assert sum(len(c.members) for c in classes) == formula_cells(wb)
+        assert sum(len(c.members) for c in classes) == stored_formula_count(wb)
         seen = set()
         for cls in classes:
             for member in cls.members:
@@ -229,8 +228,8 @@ class TestCopyClasses:
                 row = base_row + copy
                 cells[f"{_letters(col)}{row}"] = f"=A{row}*{multiplier}"
         wb = make_workbook({"S": cells})
-        assert formula_cells(wb) == 351 * 3
-        assert unique_formula_count(wb) == 351
+        assert stored_formula_count(wb) == 351 * 3
+        assert len(copy_classes(wb)) == 351
 
 
 def _letters(col: int) -> str:

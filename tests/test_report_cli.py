@@ -296,6 +296,25 @@ class TestRobustness:
         })
         assert main(["audit", path]) == 0
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["=" + "(" * n + "1" + ")" * n for n in (330, 400, 5000)] + ["=" + "-" * 1000 + "1"],
+        ids=["parens330", "parens400", "parens5000", "signs1000"],
+    )
+    def test_too_deep_is_a_parse_error(self, tmp_path, capsys, formula):
+        path = write_wbjson(tmp_path, {"sheets": [{"name": "S", "cells": {"A1": {"f": formula}}}]})
+        assert main(["audit", path]) == 2
+        assert capsys.readouterr().err == "sheetsentry: S!A1: formula nests too deeply (offset 1)\n"
+
+    @pytest.mark.parametrize("formula", ["=1+#", "=1+"])
+    def test_parse_error_names_its_offset_once(self, tmp_path, capsys, formula):
+        path = write_wbjson(tmp_path, {"sheets": [{"name": "S", "cells": {"A1": {"f": formula}}}]})
+        assert main(["audit", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sheetsentry: S!A1: ")
+        assert err.count("(offset") == 1
+        assert err.endswith(" (offset 3)\n")
+
 
 class TestSeverityThreshold:
     def test_exit_is_function_of_findings_and_threshold(self, fixtures_dir):

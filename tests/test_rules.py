@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from sheetsentry.errors import FormatError
 from sheetsentry.evaluate import staleness_report
 from sheetsentry.graph import build_graph
-from sheetsentry.metrics import script_metrics
+from sheetsentry.metrics import Analysis, script_metrics
 from sheetsentry.normalize import copy_classes
 from sheetsentry.report import audit_workbook, render_json
 from sheetsentry.rules import (
@@ -20,6 +21,7 @@ from sheetsentry.rules import (
     check_calc_mode,
     check_copy_class_holes,
     check_external_links,
+    check_hardcoded_constant,
     check_spec_presence,
     check_stale_values,
 )
@@ -207,17 +209,8 @@ class TestCalcModeRule:
 
 class TestHardcodedConstantRule:
     def _findings(self, formulas, cfg=None):
-        wb = make_workbook({"S": formulas})
-        report_cfg = cfg or RuleConfig()
-        classes = copy_classes(wb)
-        from sheetsentry.rules import check_hardcoded_constant
-        from sheetsentry.formula import parse_formula
-
-        asts_by_class = {
-            c.normalized.text: parse_formula(wb.cell(c.representative).formula)
-            for c in classes
-        }
-        return check_hardcoded_constant(classes, report_cfg, asts_by_class)
+        analysis = Analysis(make_workbook({"S": formulas}))
+        return check_hardcoded_constant(analysis.classes, cfg or RuleConfig(), analysis.asts)
 
     def test_three_classes_trigger(self):
         findings = self._findings({"B1": "=A1+65", "B2": "=A2-65", "B3": "=A3*65"})
@@ -388,7 +381,7 @@ class TestConfig:
     def test_disable_rule_removes_exactly_it(self, fixtures_dir):
         full = audit_fixture(fixtures_dir, "all_rules.json")
         for rule_id in CORE_RULE_IDS:
-            cfg = RuleConfig().without(rule_id)
+            cfg = replace(RuleConfig(), enabled=RuleConfig().enabled - {rule_id})
             partial = audit_fixture(fixtures_dir, "all_rules.json", cfg=cfg)
             assert {f.rule_id for f in partial.findings} == CORE_RULE_IDS - {rule_id}
             kept = [f for f in full.findings if f.rule_id != rule_id]

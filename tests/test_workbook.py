@@ -20,16 +20,14 @@ from sheetsentry.workbook import (
     Sheet,
     col_to_letters,
     format_number,
-    formula_cells,
     letters_to_col,
     load_workbook,
     parse_address,
-    render_address,
-    total_cells,
-    value_cells,
 )
+from sheetsentry.formula import Reference, render_a1
+from sheetsentry.metrics import compute_metrics
 
-from conftest import make_workbook, write_wbjson
+from conftest import make_workbook, stored_formula_count, write_wbjson
 
 
 def enumerate_columns(max_len: int):
@@ -76,7 +74,7 @@ class TestParseAddress:
     )
     @settings(max_examples=300)
     def test_render_parse_roundtrip(self, col, row, abs_col, abs_row):
-        text = render_address(col, row, abs_col, abs_row)
+        text = render_a1(Reference(col, row, abs_col, abs_row))
         assert parse_address(text) == (col, row, abs_col, abs_row)
 
 
@@ -104,7 +102,7 @@ class TestLoadWorkbook:
         )
         wb = load_workbook(path)
         assert len(wb.sheets) == 1
-        assert total_cells(wb) == 1
+        assert len(list(wb.iter_cells())) == 1
         cell = wb.sheets[0].cell(1, 1)
         assert cell.formula is None
         assert cell.cached == CellValue.number(5)
@@ -153,7 +151,7 @@ class TestLoadWorkbook:
             tmp_path, {"sheets": [{"name": "S", "cells": {"A1": {}}}]}
         )
         wb = load_workbook(path)
-        assert total_cells(wb) == 0
+        assert list(wb.iter_cells()) == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -240,18 +238,20 @@ class TestLoadWorkbook:
 class TestCounts:
     def test_formula_and_value_cells(self):
         wb = make_workbook({"S": {"A1": ("=1+1", 2), "A2": 5}})
-        assert formula_cells(wb) == 1
-        assert value_cells(wb) == 1
+        assert compute_metrics(wb).formula_cells == 1
+        assert len(list(wb.iter_cells())) == 2
 
     def test_empty_workbook(self):
         wb = make_workbook({"S": {}})
-        assert formula_cells(wb) == 0
+        assert compute_metrics(wb).formula_cells == 0
 
     def test_partition_invariant(self):
         wb = make_workbook(
             {"S": {"A1": 1, "A2": ("=A1", 1), "A3": "text", "B9": ("=A2*2", 2)}}
         )
-        assert formula_cells(wb) + value_cells(wb) == total_cells(wb)
+        stored = list(wb.iter_cells())
+        assert len(stored) == 4
+        assert compute_metrics(wb).formula_cells == stored_formula_count(wb) == 2
 
     def test_large_sample_formula_count(self):
         # synthetic workbook at the scale of the largest audited sample
@@ -262,4 +262,4 @@ class TestCounts:
             for row in range(1, 67014)
         }
         wb = Workbook(sheets=[Sheet("S", cells)])
-        assert formula_cells(wb) == 67013
+        assert stored_formula_count(wb) == 67013
