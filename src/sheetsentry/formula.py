@@ -10,12 +10,35 @@ multiplicative, ``^``, unary sign. All levels are left-associative except
 ``^``, which is right-associative; unary sign binds tighter than ``^``.
 ``_BINARY_LEVEL`` is the one precedence table: the parser climbs it and
 the serializer reads it to place parentheses.
+
+Parsing by shape. A workbook repeats a few formula shapes over many
+cells, so :func:`parse_formula` tokenizes and parses each shape once. One
+regex split cuts the text into its words; the shape key is the text with
+every number lexeme and every reference's column letters and row digits
+taken out. The key keeps everything else: operators, punctuation and
+whitespace, string literals, names, and each reference's ``$`` signs. A
+reference-shaped sheet name before ``!`` (``Q1!A1``) is a name there, as it
+is to the parser. A text whose shape is in the table gets a fresh copy of
+the shape's AST template, filled with its own numbers and references. Any
+other text is parsed in full, and its AST becomes the template of its
+shape. The result always equals a fresh parse:
+
+- an error is never cached, so every ``ParseError`` comes from a full parse;
+- a text with a row past ``MAX_ROW`` is parsed in full, because the
+  tokenizer demotes such a reference to a name or the parser rejects it;
+- a shape that uses a number or reference lexeme as a name (``[1]S!A1``,
+  ``[A1]S!A1``) is never filled.
+
+The table is process-wide and holds at most ``_SHAPE_TABLE_SIZE`` shapes;
+past that, it is emptied and starts over. A formula deeper than ``MAX_DEPTH``
+nodes is a ``ParseError``, which also bounds the recursion of a fill.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Union
@@ -50,13 +73,20 @@ class Token(NamedTuple):
     offset: int
 
 
+# The four word patterns, shared by the tokenizer and the shape split below.
+# A ref captures its column ``$``, letters, row ``$`` and row digits.
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_STRING = r'"(?:[^"]|"")*"'
+_REF = r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]{0,6})(?![A-Za-z0-9_.$])"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*|'[^']*'"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<ws>\s+)
-    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-    | (?P<string>"(?:[^"]|"")*")
-    | (?P<ref>\$?[A-Za-z]{1,3}\$?[1-9][0-9]{0,6}(?![A-Za-z0-9_.$]))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*|'[^']*')
+    | (?P<number>{_NUMBER})
+    | (?P<string>{_STRING})
+    | (?P<ref>{_REF})
+    | (?P<ident>{_NAME})
     | (?P<op><>|<=|>=|[=<>+\-*/^&])
     | (?P<lparen>\()
     | (?P<rparen>\))
@@ -196,6 +226,15 @@ _UNARY_LEVEL = 6
 _ATOM_LEVEL = 7
 
 
+# The operands or arguments of each inner node type, in source order; the
+# one description of the tree's shape, read by ``walk`` and ``_depth``.
+_CHILDREN: dict[type, Callable[..., tuple[FormulaAst, ...]]] = {
+    Binary: lambda node: (node.left, node.right),
+    Unary: lambda node: (node.operand,),
+    Call: lambda node: node.args,
+}
+
+
 def make_range(start: Reference, end: Reference) -> RangeRef:
     """Order the corners so start is top-left; flags travel with their axis."""
     c1, ac1, c2, ac2 = start.col, start.abs_col, end.col, end.abs_col
@@ -224,23 +263,169 @@ def number_literal(x: float) -> str:
     return repr(x)
 
 
+MAX_DEPTH = 256
+"""Deepest AST a formula may parse to, counted in nodes from root to leaf."""
+
+
 def parse_formula(src: str) -> FormulaAst:
     """Parse formula source (with leading ``=``) into an AST.
 
     Raises :class:`ParseError` carrying an offset into ``src`` and the set
     of token kinds that were expected at that point, or, at offset 1, when
-    the formula nests deeper than the parser's call stack allows.
+    the formula nests deeper than :data:`MAX_DEPTH` or than the parser's
+    call stack allows.
+
+    Texts of one shape share a cached template (see "Parsing by shape" in
+    the module docstring); the result always equals a fresh parse.
     """
     if not src.startswith("="):
         raise ParseError("formula must start with '='", 0, frozenset({"="}))
+    parts, key = _shape(src)
+    template = _SHAPES.get(key)
+    if template is not None:
+        try:
+            return _fill(template.ast, parts, iter(template.numbers), iter(template.refs))
+        except _RowOutOfRange:
+            pass  # this text demotes a reference or rejects it: parse it afresh
+    ast = _parse(src)
+    # a row past MAX_ROW was demoted to a name, which says nothing of the shape
+    if key not in _SHAPES and all(int(row) <= MAX_ROW for row in parts[6::_STRIDE] if row):
+        _store(key, _template(ast, parts))
+    return ast
+
+
+def _parse(src: str) -> FormulaAst:
     try:
         tokens = tokenize(src[1:])
     except LexError as exc:
         raise ParseError(exc.message, exc.offset + 1) from exc
     try:
-        return _Parser(tokens).parse()
+        ast = _Parser(tokens).parse()
     except RecursionError:
         raise ParseError("formula nests too deeply", 1) from None
+    # every node takes at least one token, so a short formula is never too deep
+    if len(tokens) > MAX_DEPTH and _depth(ast) > MAX_DEPTH:
+        raise ParseError("formula nests too deeply", 1)
+    return ast
+
+
+def _depth(ast: FormulaAst) -> int:
+    """Nodes on the longest root-to-leaf path, measured without recursion."""
+    deepest = 0
+    stack = [(ast, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend((child, depth + 1) for child in children(node))
+    return deepest
+
+
+# --- parsing by shape ----------------------------------------------------------
+#
+# ``_SHAPE_RE.split`` cuts a formula into the text between words and, per
+# word, seven groups: number, string, column ``$``, column letters, row
+# ``$``, row digits, name. The shape key is that list with the number
+# lexemes, column letters and row digits blanked out; a fill reads them
+# back from the same list by index. A reference before ``!`` is split as a
+# name, because the parser reads it as a sheet name.
+
+_SHAPE_RE = re.compile(rf"({_NUMBER})|({_STRING})|{_REF}(?!\s*!)|({_NAME})")
+_STRIDE = 8  # one piece of text, then the seven groups of the word after it
+_SHAPE_TABLE_SIZE = 4096
+
+
+class _Template(NamedTuple):
+    """A shape's AST, and where each number lexeme and each reference's
+    first group sit in the split parts, in source order."""
+
+    ast: FormulaAst
+    numbers: tuple[int, ...]
+    refs: tuple[int, ...]
+
+
+_SHAPES: dict[tuple, _Template | None] = {}
+_SHAPES_WRITE = threading.Lock()  # readers need none: one dict lookup is atomic
+
+
+class _RowOutOfRange(Exception):
+    """A reference hole's row is past ``MAX_ROW``."""
+
+
+def _shape(src: str) -> tuple[list, tuple]:
+    """The split parts of ``src`` and its shape key."""
+    parts = _SHAPE_RE.split(src)
+    masked = parts.copy()
+    holes = [None] * (len(parts) // _STRIDE)
+    masked[1::_STRIDE] = masked[4::_STRIDE] = masked[6::_STRIDE] = holes
+    return parts, tuple(masked)
+
+
+def _store(key: tuple, template: _Template | None) -> None:
+    """Set the table entry of one shape, keeping the table within its bound."""
+    with _SHAPES_WRITE:
+        if key not in _SHAPES and len(_SHAPES) >= _SHAPE_TABLE_SIZE:
+            # start over: finding the oldest entry of a dict costs a scan
+            _SHAPES.clear()
+        _SHAPES[key] = template
+
+
+def _template(ast: FormulaAst, parts: list) -> _Template | None:
+    """The template of the shape that ``parts`` split into and ``ast`` parsed
+    to, or None when the shape uses a number or reference lexeme as a name
+    (``[1]S!A1``, ``[A1]S!A1``), which leaves a hole without a leaf."""
+    numbers = tuple(i for i in range(1, len(parts), _STRIDE) if parts[i] is not None)
+    refs = tuple(i for i in range(3, len(parts), _STRIDE) if parts[i] is not None)
+    number_leaves = ref_leaves = 0
+    for node in walk(ast):
+        if isinstance(node, NumberLit):
+            number_leaves += 1
+        elif isinstance(node, Ref):
+            ref_leaves += 1
+        elif isinstance(node, Range):
+            ref_leaves += 2
+    if number_leaves != len(numbers) or ref_leaves != len(refs):
+        return None
+    return _Template(ast, numbers, refs)
+
+
+def _fill(
+    node: FormulaAst, parts: list, numbers: Iterator[int], refs: Iterator[int]
+) -> FormulaAst:
+    """A fresh copy of template ``node`` holding the numbers and references
+    of the text split into ``parts``; leaves take the holes in source order."""
+    if isinstance(node, Binary):
+        left = _fill(node.left, parts, numbers, refs)
+        return Binary(node.op, left, _fill(node.right, parts, numbers, refs))
+    if isinstance(node, Ref):
+        return Ref(_reference(parts, next(refs), node.ref))
+    if isinstance(node, NumberLit):
+        return NumberLit(float(parts[next(numbers)]))
+    if isinstance(node, Call) and node.args:
+        return Call(node.name, tuple([_fill(arg, parts, numbers, refs) for arg in node.args]))
+    if isinstance(node, Unary):
+        return Unary(node.op, _fill(node.operand, parts, numbers, refs))
+    if isinstance(node, Range):
+        qual = node.ref.start
+        start = _reference(parts, next(refs), qual)
+        return Range(make_range(start, _reference(parts, next(refs), qual)))
+    return node  # no holes below: text, boolean, bare name
+
+
+def _reference(parts: list, at: int, qual: Reference) -> Reference:
+    """The reference whose four groups start at ``parts[at]``, qualified as ``qual``."""
+    row = int(parts[at + 3])
+    if row > MAX_ROW:
+        raise _RowOutOfRange
+    return Reference(
+        letters_to_col(parts[at + 1].upper()),
+        row,
+        parts[at] == "$",
+        parts[at + 2] == "$",
+        qual.sheet,
+        qual.external,
+    )
 
 
 def parse_all_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
@@ -558,10 +743,6 @@ def walk(node: FormulaAst) -> Iterator[FormulaAst]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Binary):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Call):
-            stack.extend(reversed(node.args))
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend(reversed(children(node)))

@@ -222,7 +222,10 @@ def compute_metrics(
         formula_cells=len(a.asts),
         unique_formulae=n,
         error_probability=error_probability(p, n),
-        max_branching=max(map(branch_count, a.asts.values()), default=0),
+        # copies share their normalized text, hence their IF calls
+        max_branching=max(
+            (branch_count(a.asts[c.representative]) for c in a.classes), default=0
+        ),
         external_link_count=len(a.graph.external_links),
         script_lines_total=sum(s.lines for s in a.scripts),
         cost_estimate=sum(map(formula_cost, a.asts.values())),

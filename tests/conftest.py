@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from sheetsentry.workbook import (
     BLANK,
@@ -17,10 +18,20 @@ from sheetsentry.workbook import (
     Sheet,
     Workbook,
     WorkbookSettings,
+    col_to_letters,
     parse_address,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# CI selects this profile with --hypothesis-profile=ci, so the fuzz
+# properties that read it through fuzz_examples() run longer there.
+settings.register_profile("ci", max_examples=2000)
+
+
+def fuzz_examples(local: int) -> int:
+    """``local`` examples, or the loaded profile's count when that is larger."""
+    return max(local, settings.default.max_examples)
 
 
 def addr(sheet: str, a1: str) -> CellAddress:
@@ -79,6 +90,22 @@ def make_workbook(
 def stored_formula_count(wb: Workbook) -> int:
     """Stored cells that hold a formula, counted straight from the sheets."""
     return sum(cell.formula is not None for _, cell in wb.iter_cells())
+
+
+def scale_grid_doc(n_classes: int = 400, rows_per_class: int = 250) -> dict:
+    """Criterion 8's grid: inputs in column A and, in each of ``n_classes``
+    columns, ``rows_per_class`` copies of ``=A{row}*k`` with a fresh cache."""
+    cells = {}
+    for i in range(n_classes):
+        col_letters = col_to_letters(2 + i)
+        for row in range(1, rows_per_class + 1):
+            cells[f"{col_letters}{row}"] = {"f": f"=A{row}*{i + 2}", "v": row * (i + 2)}
+    for row in range(1, rows_per_class + 1):
+        cells[f"A{row}"] = {"v": row}
+    return {
+        "manifest": {"specification": "scale smoke model"},
+        "sheets": [{"name": "S", "cells": cells}],
+    }
 
 
 def reverse_sort_key(g) -> None:

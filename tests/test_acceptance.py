@@ -19,7 +19,7 @@ from sheetsentry.report import audit_workbook, render_json, render_text
 from sheetsentry.workbook import CellAddress, CellValue, col_to_letters, load_workbook
 
 from astgen import random_ast
-from conftest import addr, make_workbook
+from conftest import addr, make_workbook, scale_grid_doc
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
 from test_normalize import bounded_ast, translate_ast
 
@@ -229,17 +229,7 @@ def test_criterion_7_cost_model_direction():
 def test_criterion_8_scale_smoke(tmp_path):
     n_classes = 400
     rows_per_class = 250
-    cells = {}
-    for i in range(n_classes):
-        col_letters = col_to_letters(2 + i)
-        for row in range(1, rows_per_class + 1):
-            cells[f"{col_letters}{row}"] = {"f": f"=A{row}*{i + 2}", "v": row * (i + 2)}
-    for row in range(1, rows_per_class + 1):
-        cells[f"A{row}"] = {"v": row}
-    doc = {
-        "manifest": {"specification": "scale smoke model"},
-        "sheets": [{"name": "S", "cells": cells}],
-    }
+    doc = scale_grid_doc(n_classes, rows_per_class)
     path = tmp_path / "scale.json"
     path.write_text(json.dumps(doc))
 

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sheetsentry.formula as formula_module
 from sheetsentry.errors import LexError, ParseError
 from sheetsentry.formula import (
+    MAX_DEPTH,
+    MAX_ROW,
     Binary,
     Call,
     NumberLit,
@@ -20,6 +28,8 @@ from sheetsentry.formula import (
     TokenKind,
     Unary,
     _BINARY_LEVEL,
+    _Parser,
+    _shape,
     collect_references,
     make_range,
     parse_formula,
@@ -28,6 +38,7 @@ from sheetsentry.formula import (
 )
 
 from astgen import random_ast
+from conftest import fuzz_examples
 
 
 def ref(col, row, abs_col=False, abs_row=False, sheet=None, external=None):
@@ -295,3 +306,218 @@ class TestRoundTrip:
             toks = tokenize(src)
             rebuilt = "".join(t.lexeme for t in toks)
             assert rebuilt == src  # canonical text has no whitespace
+
+
+def outcome(parse, src):
+    """The AST, or the error's text, offset and expected set."""
+    try:
+        return parse(src)
+    except ParseError as exc:
+        return ("error", str(exc), exc.offset, exc.expected)
+
+
+def fresh_parse(src):
+    """A full parse that never reads the shape table."""
+    try:
+        tokens = tokenize(src[1:])
+    except LexError as exc:
+        raise ParseError(exc.message, exc.offset + 1) from exc
+    return _Parser(tokens).parse()
+
+
+def rewrite(src, lexeme_of):
+    """``src`` with each token's lexeme replaced by ``lexeme_of(token)``;
+    a reference-shaped sheet name (the token before ``!``) is kept."""
+    body, out, pos = src[1:], [], 0
+    tokens = tokenize(body)
+    for tok, after in zip(tokens, tokens[1:] + [None]):
+        sheet = after is not None and after.kind is TokenKind.BANG
+        out += [body[pos : tok.offset], tok.lexeme if sheet else lexeme_of(tok)]
+        pos = tok.offset + len(tok.lexeme)
+    return "=" + "".join(out) + body[pos:]
+
+
+REF_PARTS = re.compile(r"(\$?)([A-Za-z]+)(\$?)([0-9]+)")
+
+
+def respell(rng, src):
+    """Another shape: random spaces after tokens, random letter case outside
+    string literals, and the ``$`` of each reference part toggled at random."""
+
+    def lexeme_of(tok):
+        lexeme = tok.lexeme
+        if tok.kind is TokenKind.REF:
+            _, col, _, row = REF_PARTS.fullmatch(lexeme).groups()
+            lexeme = rng.choice(["", "$"]) + col + rng.choice(["", "$"]) + row
+        if tok.kind is not TokenKind.STRING:
+            lexeme = "".join(rng.choice([ch.lower(), ch.upper()]) for ch in lexeme)
+        return lexeme + " " * rng.choice([0, 0, 1, 2])
+
+    return rewrite(src, lexeme_of)
+
+
+def redraw(rng, src):
+    """The same shape with other values: every number, column and row drawn
+    afresh, some rows past ``MAX_ROW``."""
+
+    def lexeme_of(tok):
+        if tok.kind is TokenKind.NUMBER:
+            return rng.choice(["0", "7", "12.", ".5", "3.25", "1E5", "2e-3", "1e999"])
+        if tok.kind is TokenKind.REF:
+            col_abs, _, row_abs, _ = REF_PARTS.fullmatch(tok.lexeme).groups()
+            col = "".join(rng.choice("ABCxyz") for _ in range(rng.randint(1, 3)))
+            row = rng.choice([1, 250, MAX_ROW, MAX_ROW + 1, 2_000_000, rng.randint(1, 9999)])
+            return f"{col_abs}{col}{row_abs}{row}"
+        return tok.lexeme
+
+    return rewrite(src, lexeme_of)
+
+
+class TestParseByShape:
+    """parse_formula fills a cached template per shape; every result, AST or
+    error, equals a full parse of the same text."""
+
+    def assert_twice_like_fresh(self, src):
+        expected = outcome(fresh_parse, src)
+        assert outcome(parse_formula, src) == expected, src  # a miss, or a fill
+        assert outcome(parse_formula, src) == expected, src  # now a fill when cacheable
+
+    @settings(max_examples=fuzz_examples(300), deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_generated_text_and_its_respellings(self, rng):
+        formula_module._SHAPES.clear()
+        canonical = "=" + serialize_formula(random_ast(rng, depth=5))
+        for src in (canonical, respell(rng, canonical)):
+            self.assert_twice_like_fresh(src)
+            sibling = redraw(rng, src)
+            assert _shape(sibling)[1] == _shape(src)[1]
+            self.assert_twice_like_fresh(sibling)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("=S1!A1", "=S1!B7"),
+            ("=[1]S!A1", "=[2]S!C3"),
+            ("=B5:A1", "=C2:D9"),
+            ('="A1"&A1', '="A1"&ZZ77'),
+            ("=A1.5", "=A1.5"),
+            ("=1E5", "=7"),
+            ("=.5", "=12."),
+            ("=TRUE", "=TRUE"),
+            ("='My Sheet'!A1", "='My Sheet'!xfd9"),
+            ("=SUM($A$1:B2)", "=SUM($C$9:A1)"),
+        ],
+    )
+    def test_pinned_pairs(self, first, second):
+        formula_module._SHAPES.clear()
+        assert _shape(first)[1] == _shape(second)[1]
+        for src in (first, second, first):
+            self.assert_twice_like_fresh(src)
+
+    @pytest.mark.parametrize("src", ["=[1]S!A1", "=[A1]S!A1", "=[2.5]S!A1"])
+    def test_lexemes_used_as_names_are_never_filled(self, src):
+        formula_module._SHAPES.clear()
+        self.assert_twice_like_fresh(src)
+        assert formula_module._SHAPES[_shape(src)[1]] is None
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("=Q1!A1", "=Q1!B7"),
+            ("=FY2024!$B$2*2", "=FY2024!$C$9*3.5"),
+            ("=SUM(Q1 !A1:B2)", "=SUM(Q1 !C3:A1)"),
+            ("=[X]B2!A1", "=[X]B2!ZZ40"),
+            ("=A1048577!B1", "=A1048577!C2"),
+        ],
+    )
+    def test_reference_shaped_sheet_names_are_filled(self, first, second, monkeypatch):
+        formula_module._SHAPES.clear()
+        assert _shape(first)[1] == _shape(second)[1]
+        assert parse_formula(first) == fresh_parse(first)
+        assert formula_module._SHAPES[_shape(first)[1]] is not None
+        expected = fresh_parse(second)
+        monkeypatch.setattr(formula_module, "tokenize", None)  # a fill never tokenizes
+        assert parse_formula(second) == expected
+
+    @pytest.mark.parametrize("src", ["=$Q1!A1", "=Q$1!A1", "=Q1!A1!B1", "=A1:B1!C1"])
+    def test_reference_shaped_sheet_name_errors_alike(self, src):
+        formula_module._SHAPES.clear()
+        parse_formula("=Q1!A1")
+        self.assert_twice_like_fresh(src)
+
+    def test_out_of_range_row_demotes_on_a_hit(self):
+        formula_module._SHAPES.clear()
+        assert _shape("=A1048577")[1] == _shape("=A1")[1]
+        assert parse_formula("=A1") == Ref(ref(1, 1))
+        assert parse_formula("=A1048577") == Call("A1048577", ())
+        assert parse_formula("=A1048576") == Ref(ref(1, MAX_ROW))
+
+    def test_out_of_range_row_leaves_the_shape_cacheable(self):
+        formula_module._SHAPES.clear()
+        assert parse_formula("=A1048577") == Call("A1048577", ())
+        assert not formula_module._SHAPES
+        parse_formula("=A1")
+        parse_formula("=B2")
+        assert formula_module._SHAPES[_shape("=A1")[1]] is not None
+
+    def test_absolute_out_of_range_row_errors_alike_on_a_hit(self):
+        formula_module._SHAPES.clear()
+        parse_formula("=$A1")
+        with pytest.raises(ParseError) as err:
+            parse_formula("=$A2000000")
+        assert (str(err.value), err.value.offset) == (
+            "reference '$A2000000' out of range (offset 1)", 1,
+        )
+        assert outcome(parse_formula, "=$A2000000") == outcome(fresh_parse, "=$A2000000")
+
+    def test_errors_are_never_cached(self):
+        formula_module._SHAPES.clear()
+        for src in ("=1+", "=SUM(1,)", '="abc', "=1 # 2"):
+            self.assert_twice_like_fresh(src)
+        assert not formula_module._SHAPES
+
+    def test_a_hit_neither_tokenizes_nor_shares_nodes(self, monkeypatch):
+        formula_module._SHAPES.clear()
+        parse_formula("=-1+A1*1")
+        monkeypatch.setattr(formula_module, "tokenize", None)
+        ast = parse_formula("=-2+B3*2")
+        assert ast == fresh_parse("=-2+B3*2")
+        assert ast.left.operand is not ast.right.right
+
+    def test_threads_share_a_small_table(self, monkeypatch):
+        monkeypatch.setattr(formula_module, "_SHAPE_TABLE_SIZE", 8)
+        formula_module._SHAPES.clear()
+        texts = [f'=A{i % 9 + 1}*{i}&"{i % 40}"' for i in range(400)]
+        expected = [fresh_parse(src) for src in texts]
+        failures = []
+
+        def worker(offset):
+            try:
+                for i in range(len(texts)):
+                    j = (i + offset) % len(texts)
+                    if parse_formula(texts[j]) != expected[j]:
+                        failures.append(texts[j])
+            except Exception as exc:  # a lost race surfaces here, not in the thread
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k * 97,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(formula_module._SHAPES) <= 8
+
+    def test_depth_limit(self):
+        at_limit = "=" + "+".join(["1"] * MAX_DEPTH)
+        assert parse_formula(at_limit) == fresh_parse(at_limit)
+        for src in (at_limit + "+1", "=" + "-" * MAX_DEPTH + "1"):
+            with pytest.raises(ParseError) as err:
+                parse_formula(src)
+            assert (err.value.message, err.value.offset) == ("formula nests too deeply", 1)

@@ -18,7 +18,7 @@ from sheetsentry.formula import _BINARY_LEVEL, parse_formula
 from sheetsentry.report import audit_workbook, render_json
 from sheetsentry.workbook import ValueKind
 
-from conftest import make_workbook, strict_json
+from conftest import fuzz_examples, make_workbook, strict_json
 
 OPERANDS = ["A1", "B2", "$A$1", "D9", "A1:B2", "A1:D9", "1", "1e308", "1e999", '"x"']
 OPENERS = ["", "-", "(", "SUM(", "IF(", "VLOOKUP(", "S!", "'T T'!", "[X]S!"]
@@ -48,7 +48,7 @@ def formulas(draw) -> str:
     return "=" + "".join(frags)
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=fuzz_examples(400), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(formulas())
 def test_fragment_formulas_audit(formula):
     try:

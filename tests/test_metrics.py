@@ -14,8 +14,10 @@ import sheetsentry.graph as graph_module
 from sheetsentry.cli import main
 from sheetsentry.errors import DomainError
 from sheetsentry.evaluate import Engine
-from sheetsentry.formula import parse_formula
+import sheetsentry.formula as formula_module
+from sheetsentry.formula import _Parser, parse_formula, tokenize
 from sheetsentry.metrics import (
+    Analysis,
     branch_count,
     compute_metrics,
     error_probability,
@@ -31,7 +33,7 @@ from sheetsentry.workbook import (
     workbook_from_dict,
 )
 
-from conftest import make_workbook, stored_formula_count, write_wbjson
+from conftest import FIXTURES, make_workbook, scale_grid_doc, stored_formula_count, write_wbjson
 
 # integer percents reported for the six audited sample workbooks
 REFERENCE_SAMPLES = [(351, 97), (37, 31), (284, 94), (209, 88), (260, 93), (164, 81)]
@@ -253,6 +255,12 @@ class TestComputeMetrics:
         assert metrics.max_branching == 4
         assert metrics.external_link_count == 2
 
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_max_branching_is_the_per_cell_maximum(self, fixture):
+        a = Analysis(load_workbook(str(FIXTURES / fixture)))
+        per_cell = max(map(branch_count, a.asts.values()), default=0)
+        assert compute_metrics(a).max_branching == per_cell
+
 
 def count_calls(monkeypatch, func) -> list[int]:
     """Rebind every sheetsentry module's name for ``func`` to a counting wrapper."""
@@ -286,6 +294,36 @@ class TestOnePassAnalysis:
         monkeypatch.setattr(Engine, "run", forbidden)
         wb = load_workbook(str(fixtures_dir / "all_rules.json"))
         assert compute_metrics(wb).formula_cells == stored_formula_count(wb)
+
+
+class TestParserWork:
+    """Parsing costs one call per formula cell but one full parse per shape."""
+
+    def test_scale_grid_parses_one_shape(self, tmp_path, monkeypatch):
+        path = write_wbjson(tmp_path, scale_grid_doc())
+        wb = load_workbook(path)
+        monkeypatch.setattr(formula_module, "_SHAPES", {})
+        calls = count_calls(monkeypatch, parse_formula)
+        # the parser's own lexing; LONG_FORMULA also tokenizes each class once
+        tokenizes = [0]
+        parses = [0]
+        full_parse = _Parser.parse
+
+        def counting_tokenize(src):
+            tokenizes[0] += 1
+            return tokenize(src)
+
+        def counting_parse(self):
+            parses[0] += 1
+            return full_parse(self)
+
+        monkeypatch.setattr(formula_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(_Parser, "parse", counting_parse)
+        report = audit_workbook(wb)
+        assert report.metrics.formula_cells == calls[0] == stored_formula_count(wb) == 100_000
+        shapes = len(formula_module._SHAPES)
+        assert shapes == 1
+        assert tokenizes[0] <= shapes and parses[0] <= shapes
 
 
 def synthetic_workbook(n_classes: int):

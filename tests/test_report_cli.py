@@ -7,6 +7,7 @@ import json
 import pytest
 
 from sheetsentry.cli import main
+from sheetsentry.formula import MAX_DEPTH
 from sheetsentry.report import (
     audit_workbook,
     render_json,
@@ -297,9 +298,24 @@ class TestRobustness:
         assert main(["audit", path]) == 0
 
     @pytest.mark.parametrize(
+        "formula,value",
+        [("=" + "+".join(["1"] * MAX_DEPTH), MAX_DEPTH), ("=" + "-" * (MAX_DEPTH - 1) + "1", -1)],
+        ids=["sum", "signs"],
+    )
+    def test_depth_limit_audits(self, tmp_path, formula, value):
+        path = write_wbjson(tmp_path, {
+            "manifest": {"specification": "a formula at the depth limit"},
+            "sheets": [{"name": "S", "cells": {"A1": {"f": formula, "v": value}}}],
+        })
+        assert main(["audit", path]) == 0
+
+    @pytest.mark.parametrize(
         "formula",
-        ["=" + "(" * n + "1" + ")" * n for n in (330, 400, 5000)] + ["=" + "-" * 1000 + "1"],
-        ids=["parens330", "parens400", "parens5000", "signs1000"],
+        ["=" + "(" * n + "1" + ")" * n for n in (330, 400, 5000)]
+        + ["=" + "-" * n + "1" for n in (MAX_DEPTH, 500, 1000)]
+        + ["=" + "+".join(["1"] * n) for n in (MAX_DEPTH + 1, 500)],
+        ids=["parens330", "parens400", "parens5000", f"signs{MAX_DEPTH}", "signs500", "signs1000",
+             f"sum{MAX_DEPTH + 1}", "sum500"],
     )
     def test_too_deep_is_a_parse_error(self, tmp_path, capsys, formula):
         path = write_wbjson(tmp_path, {"sheets": [{"name": "S", "cells": {"A1": {"f": formula}}}]})
