@@ -16,6 +16,9 @@ built from that form lazily, each on first use:
   follows the formulas, not the area they read. The recomputation engine
   schedules over it and reads ranges through the same index.
 
+Each view says only what its nodes read. One builder, :func:`_adjacency`,
+turns that into unsorted adjacency lists; the queries sort what they return.
+
 Every reference is resolved by :meth:`Workbook.resolve`, as in the
 evaluator. References into other workbooks, cells and ranges alike, become
 no edges but entries of the external-link inventory, because the target
@@ -33,7 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import UnknownNodeError
 from .formula import (
@@ -102,7 +105,8 @@ class DepGraph:
     reference -- a :class:`CellAddress` for a cell reference, a
     :class:`RangeNode` rectangle for a range. The cell-level view behind
     the queries is expanded from that form on first use; :attr:`formulas`
-    resolves the same form to formula cells only.
+    resolves the same form to formula cells only. Both views come unsorted
+    from :func:`_adjacency`; the queries sort what they return.
     """
 
     def __init__(
@@ -117,7 +121,7 @@ class DepGraph:
 
     @cached_property
     def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
-        return _expand(self._refs, self.sort_key)
+        return _adjacency(_expand(self._refs))
 
     @property
     def _preds(self) -> dict[Node, list[Node]]:
@@ -138,29 +142,23 @@ class DepGraph:
         blanks never become nodes. Cycle membership of formula cells is the
         same as in the full view.
         """
-        key = self.sort_key
-        preds: dict[Node, list[Node]] = {}
-        deps: dict[Node, list[Node]] = {addr: [] for addr in self._refs}
-        for addr, reads in self._refs.items():
-            found: set[CellAddress] = set()
-            for node in reads:
+        refs = self._refs
+        reads: dict[Node, list[Node]] = {}
+        for addr, nodes in refs.items():
+            found: list[Node] = []
+            for node in nodes:
                 if type(node) is CellAddress:
-                    if node in deps:
-                        found.add(node)
+                    if node in refs:
+                        found.append(node)
                     continue
                 for column, lo, hi in self.wb.sheet(node.sheet).column_slices(
                     node.start_col, node.start_row, node.end_col, node.end_row
                 ):
-                    found.update(column.formulas[column.before[lo]:column.before[hi]])
-            preds[addr] = sorted(found, key=key) if len(found) > 1 else list(found)
-            for src in found:
-                deps[src].append(addr)
-        for dsts in deps.values():
-            if len(dsts) > 1:
-                dsts.sort(key=key)
-        # each reference is now one formula cell, so the view is already built
-        graph = DepGraph(preds, self.external_links, self.wb)
-        graph._view = (preds, deps)
+                    found += column.formulas[column.before[lo]:column.before[hi]]
+            reads[addr] = list(found)  # sized exactly: appending over-allocates
+        graph = DepGraph(reads, self.external_links, self.wb)
+        # every node reads only formula cells, which need no expansion
+        graph._view = _adjacency(reads)
         return graph
 
     # -- ordering helpers
@@ -189,17 +187,18 @@ class DepGraph:
         """Direct precedents of a node, in deterministic order."""
         if node not in self._preds:
             raise UnknownNodeError(f"not a graph node: {node}")
-        return list(self._preds[node])
+        return sorted(self._preds[node], key=self.sort_key)
 
     def dependents(self, node: Node) -> list[Node]:
         """Direct dependents of a node, in deterministic order."""
         if node not in self._deps:
             raise UnknownNodeError(f"not a graph node: {node}")
-        return list(self._deps[node])
+        return sorted(self._deps[node], key=self.sort_key)
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
+        """Every edge, ordered by source and then by destination."""
         for src in self.nodes:
-            for dst in self._deps[src]:
+            for dst in sorted(self._deps[src], key=self.sort_key):
                 yield (src, dst)
 
     def transitive_dependents(self, node: Node) -> set[Node]:
@@ -250,57 +249,63 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     return DepGraph(refs, external_links, wb)
 
 
-def _expand(
-    refs: dict[CellAddress, list[Node]], key: Callable[[Node], tuple]
-) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
-    """Cell-level precedent and dependent lists of a graph's compact form.
+def _expand(refs: dict[CellAddress, list[Node]]) -> dict[Node, list[Node]]:
+    """What each node of the cell-level view reads.
 
-    A range expands to one edge per covered cell up to
-    :data:`RANGE_EXPANSION_CAP`; a larger one stays an aggregate
-    :class:`RangeNode` that every formula cell it covers feeds.
+    A formula cell reads each cell it references and, for a range, each
+    covered cell up to :data:`RANGE_EXPANSION_CAP`; a larger range is read
+    as one aggregate :class:`RangeNode`, which reads every formula cell it
+    covers.
     """
-    preds: dict[Node, set[Node]] = {}
-    deps: dict[Node, set[Node]] = {}
-    big_ranges: dict[RangeNode, None] = {}
-
-    def ensure(node: Node) -> None:
-        if node not in preds:
-            preds[node] = set()
-            deps[node] = set()
-
-    def add_edge(src: Node, dst: Node) -> None:
-        ensure(src)
-        ensure(dst)
-        deps[src].add(dst)
-        preds[dst].add(src)
-
-    for addr, reads in refs.items():
-        ensure(addr)
-        for node in reads:
+    reads: dict[Node, list[Node]] = {}
+    big_ranges: dict[str, list[RangeNode]] = {}
+    for addr, nodes in refs.items():
+        cells: list[Node] = []
+        for node in nodes:
             if type(node) is CellAddress:
-                add_edge(node, addr)
+                cells.append(node)
             elif node.size() > RANGE_EXPANSION_CAP:
-                big_ranges[node] = None
-                add_edge(node, addr)
+                cells.append(node)
+                if node not in reads:
+                    reads[node] = []
+                    big_ranges.setdefault(node.sheet.casefold(), []).append(node)
             else:
-                for col in range(node.start_col, node.end_col + 1):
-                    for row in range(node.start_row, node.end_row + 1):
-                        add_edge(CellAddress(node.sheet, col, row), addr)
-
-    # aggregate range nodes depend on every formula cell they cover
+                cells += [
+                    CellAddress(node.sheet, col, row)
+                    for col in range(node.start_col, node.end_col + 1)
+                    for row in range(node.start_row, node.end_row + 1)
+                ]
+        reads[addr] = cells
     if big_ranges:
-        per_sheet: dict[str, list[RangeNode]] = {}
-        for node in big_ranges:
-            per_sheet.setdefault(node.sheet.casefold(), []).append(node)
         for addr in refs:
-            for node in per_sheet.get(addr.sheet.casefold(), ()):
+            for node in big_ranges.get(addr.sheet.casefold(), ()):
                 if node.covers(addr.col, addr.row):
-                    add_edge(addr, node)
+                    reads[node].append(addr)
+    return reads
 
-    def ordered(nodes: dict[Node, set[Node]]) -> dict[Node, list[Node]]:
-        return {n: sorted(s, key=key) if len(s) > 1 else list(s) for n, s in nodes.items()}
 
-    return ordered(preds), ordered(deps)
+def _adjacency(
+    reads: dict[Node, list[Node]],
+) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
+    """Precedent and dependent lists of the graph whose nodes read ``reads``.
+
+    Each node's reads are deduplicated in place, so ``reads`` itself becomes
+    the precedent map; a node that is read but reads nothing joins it with
+    no precedents. Nothing is sorted.
+    """
+    deps: dict[Node, list[Node]] = {node: [] for node in reads}
+    for node, srcs in reads.items():
+        if len(srcs) > 1:
+            srcs[:] = dict.fromkeys(srcs)
+        for src in srcs:
+            if src in deps:
+                deps[src].append(node)
+            else:
+                deps[src] = [node]
+    for node in deps:
+        if node not in reads:
+            reads[node] = []
+    return reads, deps
 
 
 def schedule(g: DepGraph) -> tuple[list[Node], set[Node]]:
@@ -381,7 +386,7 @@ def _tarjan(g: DepGraph) -> Iterator[list[Node]]:
     stack: list[Node] = []
     counter = 0
 
-    for root in g.nodes:
+    for root in g._deps:
         if root in index:
             continue
         work: list[tuple[Node, Iterator[Node]]] = [(root, iter(g._deps[root]))]
@@ -422,10 +427,7 @@ def _tarjan(g: DepGraph) -> Iterator[list[Node]]:
 
 def cycle_nodes(g: DepGraph) -> set[Node]:
     """All nodes that participate in some cycle."""
-    out: set[Node] = set()
-    for comp in cyclic_components(g):
-        out.update(comp)
-    return out
+    return {node for comp in cyclic_components(g) for node in comp}
 
 
 def to_dot(g: DepGraph) -> str:
@@ -439,11 +441,7 @@ def to_dot(g: DepGraph) -> str:
         lines.append(f'  "{node.qualified()}";')
     for src, dst in g.edges():
         lines.append(f'  "{src.qualified()}" -> "{dst.qualified()}";')
-    seen_books = []
-    for link in g.external_links:
-        if link.workbook not in seen_books:
-            seen_books.append(link.workbook)
-    for book in seen_books:
+    for book in dict.fromkeys(link.workbook for link in g.external_links):
         lines.append(f'  "[{book}]" [shape=box];')
     for link in g.external_links:
         lines.append(f'  "[{link.workbook}]" -> "{link.source.qualified()}" [style=dashed];')

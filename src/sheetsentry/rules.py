@@ -13,18 +13,17 @@ recalculation mode, and expensive lookup formulas. Thresholds live in
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Any
 
-from .errors import FormatError, IoError
+from .errors import FormatError
 from .evaluate import StalenessReport
 from .formula import Call, FormulaAst, NumberLit, Unary, tokenize, walk
 from .graph import DepGraph
 from .metrics import Analysis, ScriptMetrics, branch_count, formula_cost
 from .normalize import CopyClass
-from .workbook import CalcMode, CellAddress, Manifest, Workbook, WorkbookSettings
+from .workbook import CalcMode, CellAddress, Manifest, Workbook, WorkbookSettings, read_json
 
 
 class Severity(enum.IntEnum):
@@ -233,23 +232,17 @@ class RuleConfig:
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
                 ):
                     raise FormatError("$.const_whitelist", "must be an array of numbers")
-                kwargs[key] = frozenset(float(v) for v in value)
+                try:
+                    kwargs[key] = frozenset(float(v) for v in value)
+                except OverflowError:
+                    raise FormatError("$.const_whitelist", "numbers must fit a float") from None
             else:
                 kwargs[key] = value
         return RuleConfig(**kwargs)
 
     @staticmethod
     def from_file(path: str) -> "RuleConfig":
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise IoError(f"cannot read config {path}: {exc}") from exc
-        try:
-            doc = json.loads(raw)
-        except ValueError as exc:
-            raise FormatError("$", f"invalid JSON: {exc}") from exc
-        return RuleConfig.from_dict(doc)
+        return RuleConfig.from_dict(read_json(path, f"config {path}"))
 
     def to_dict(self) -> dict[str, Any]:
         """Every field in declaration order; sets become sorted lists."""

@@ -349,16 +349,27 @@ def load_workbook(path: str) -> Workbook:
         ValidationError: the file parses but breaks a workbook invariant,
             e.g. duplicate sheet names.
     """
+    return workbook_from_dict(read_json(path, path))
+
+
+def read_json(path: str, name: str) -> Any:
+    """The decoded JSON document in the file at ``path``, which messages call ``name``.
+
+    Raises:
+        IoError: the file cannot be read.
+        FormatError: the file is not JSON, or nests too deeply to decode.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise IoError(f"cannot read {name}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        return json.loads(raw)
     except ValueError as exc:
         raise FormatError("$", f"invalid JSON: {exc}") from exc
-    return workbook_from_dict(doc)
+    except RecursionError:
+        raise FormatError("$", "invalid JSON: nests too deeply to decode") from None
 
 
 def workbook_from_dict(doc: Any) -> Workbook:
@@ -446,8 +457,10 @@ def _load_sheet(doc: Any, path: str) -> Sheet:
         m = _PLAIN_ADDRESS_RE.match(key)
         if m is None:
             raise FormatError(cell_path, f"malformed cell address key {key!r}")
-        col = letters_to_col(m.group(1))
-        row = int(m.group(2))
+        # cut to 4 letters and 8 digits, which are past the bounds already,
+        # so that a long key costs nothing to decode
+        col = letters_to_col(m.group(1)[:4])
+        row = int(m.group(2)[:8])
         if col > MAX_COL or row > MAX_ROW:
             raise FormatError(cell_path, f"cell address {key!r} out of bounds")
         cell = _load_cell(cell_doc, cell_path)
@@ -474,7 +487,11 @@ def _value_from_json(value: Any, path: str) -> CellValue:
     if isinstance(value, bool):
         return CellValue.boolean(value)
     if isinstance(value, (int, float)):
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
             raise FormatError(path, "numbers must be finite")
         return CellValue.number(value)
     if isinstance(value, str):
@@ -483,7 +500,7 @@ def _value_from_json(value: Any, path: str) -> CellValue:
         if set(value) != {"err"}:
             raise FormatError(path, "error values must be an object with a single 'err' key")
         code = value["err"]
-        if code not in ERROR_CODES:
+        if not isinstance(code, str) or code not in ERROR_CODES:
             raise FormatError(path, f"unknown error code {code!r}")
         return CellValue.error(code)
     raise FormatError(path, f"unsupported value type {type(value).__name__}")

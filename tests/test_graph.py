@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from sheetsentry.errors import UnknownNodeError
 from sheetsentry.graph import (
+    RANGE_EXPANSION_CAP,
     CycleReport,
     RangeNode,
     build_graph,
     to_dot,
     topo_order,
 )
+from sheetsentry.workbook import CellAddress
 from conftest import addr, make_workbook
+from evalgen import random_acyclic_workbook
+from test_evaluate import CYCLE_CASES, FORMULA_GRAPH_CASES
+
+RANGE_CAP_CELLS = {"S": {"A5": "=C1", "C1": 2, "B1": "=SUM(A1:A200000)"}}
 
 
 class TestBuildGraph:
@@ -152,10 +160,7 @@ class TestNeighborQueries:
 
 class TestRangeCap:
     def test_oversized_range_becomes_aggregate_node(self):
-        wb = make_workbook(
-            {"S": {"A5": "=C1", "C1": 2, "B1": "=SUM(A1:A200000)"}}
-        )
-        g = build_graph(wb)
+        g = build_graph(make_workbook(RANGE_CAP_CELLS))
         range_nodes = [n for n in g.nodes if isinstance(n, RangeNode)]
         assert len(range_nodes) == 1
         node = range_nodes[0]
@@ -182,3 +187,87 @@ class TestDot:
     def test_dot_deterministic(self):
         wb = make_workbook({"S": {"A1": 1, "B1": "=A1", "B2": "=A1"}})
         assert to_dot(build_graph(wb)) == to_dot(build_graph(wb))
+
+
+def expand_oracle(refs, key):
+    """The cell-level view as it was built before one adjacency builder
+    served both views: a set of neighbours per node, every list sorted by
+    ``key`` at build time."""
+    preds, deps, big_ranges = {}, {}, {}
+
+    def add_edge(src, dst):
+        for node in (src, dst):
+            preds.setdefault(node, set())
+            deps.setdefault(node, set())
+        deps[src].add(dst)
+        preds[dst].add(src)
+
+    for addr_, reads in refs.items():
+        preds.setdefault(addr_, set())
+        deps.setdefault(addr_, set())
+        for node in reads:
+            if isinstance(node, CellAddress):
+                add_edge(node, addr_)
+            elif node.size() > RANGE_EXPANSION_CAP:
+                big_ranges[node] = None
+                add_edge(node, addr_)
+            else:
+                for col in range(node.start_col, node.end_col + 1):
+                    for row in range(node.start_row, node.end_row + 1):
+                        add_edge(CellAddress(node.sheet, col, row), addr_)
+    for node in big_ranges:
+        for addr_ in refs:
+            if addr_.sheet.casefold() == node.sheet.casefold() and node.covers(addr_.col, addr_.row):
+                add_edge(addr_, node)
+
+    def ordered(nodes):
+        return {n: sorted(s, key=key) for n, s in nodes.items()}
+
+    return ordered(preds), ordered(deps)
+
+
+def oracle_workbooks():
+    yield from (make_workbook(cells) for cells in FORMULA_GRAPH_CASES.values())
+    yield from (make_workbook({"S": cells}) for cells, _ in CYCLE_CASES.values())
+    yield make_workbook(RANGE_CAP_CELLS)
+    rng = random.Random(23)
+    yield from (random_acyclic_workbook(rng) for _ in range(30))
+
+
+def running_totals_over_formulas(rows: int):
+    """``A{r} = A{r-1}+1`` and ``B{r} = SUM($A$1:A{r})``: every list has many entries."""
+    cells = {"A1": 1}
+    for r in range(2, rows + 1):
+        cells[f"A{r}"] = f"=A{r - 1}+1"
+        cells[f"B{r}"] = f"=SUM($A$1:A{r})"
+    return make_workbook({"S": cells})
+
+
+class TestAdjacency:
+    def test_queries_match_the_sorted_set_oracle(self):
+        for wb in oracle_workbooks():
+            g = build_graph(wb)
+            preds, deps = expand_oracle(g._refs, g.sort_key)
+            assert g.nodes == sorted(preds, key=g.sort_key)
+            assert g.node_count() == len(preds)
+            for node in preds:
+                assert g.precedents(node) == preds[node]
+                assert g.dependents(node) == deps[node]
+            assert list(g.edges()) == [
+                (src, dst) for src in sorted(deps, key=g.sort_key) for dst in deps[src]
+            ]
+            assert g.edge_count() == sum(map(len, deps.values()))
+
+    @pytest.mark.parametrize("view", ["cells", "formulas"])
+    def test_building_a_view_calls_no_sort_key(self, view):
+        g = build_graph(running_totals_over_formulas(40))
+        forward, calls = g.sort_key, []
+
+        def counting(node):
+            calls.append(node)
+            return forward(node)
+
+        g.sort_key = counting
+        built = g.formulas if view == "formulas" else g
+        assert built.node_count() > 0 and built.edge_count() > 0
+        assert calls == []

@@ -332,6 +332,59 @@ class TestRobustness:
         assert err.endswith(" (offset 3)\n")
 
 
+BIG_INT = "1" + "0" * 400  # past the float range
+DEEP = 100_000
+
+
+def one_cell(key: str, value: str) -> str:
+    return '{"sheets": [{"name": "S", "cells": {"%s": {"v": %s}}}]}' % (key, value)
+
+
+class TestTypedLoadErrors:
+    """Documents that used to escape the loader as an internal error."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (one_cell("A1", '{"err": ["x"]}'),
+             "$.sheets[0].cells.A1.v: unknown error code ['x']"),
+            (one_cell("A1", BIG_INT), "$.sheets[0].cells.A1.v: numbers must be finite"),
+            ("[" * DEEP, "$: invalid JSON: nests too deeply to decode"),
+            ('{"manifest": {"assumptions": ' + '{"a": ' * DEEP + "1" + "}" * DEEP
+             + '}, "sheets": [{"name": "S"}]}', "$: invalid JSON: nests too deeply to decode"),
+            (one_cell("A" + "1" * 5000, "1"), "$.sheets[0].cells.A111"),
+        ],
+        ids=["error-code-list", "401-digit-number", "nested-arrays", "nested-assumptions",
+             "5000-digit-row"],
+    )
+    def test_workbook(self, tmp_path, capsys, text, message):
+        path = tmp_path / "wb.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sheetsentry: {message}")
+        assert "internal error" not in err
+
+    def test_config_whitelist_past_the_float_range(self, fixtures_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"const_whitelist": [%s]}' % BIG_INT, encoding="utf-8")
+        code = main(["audit", str(fixtures_dir / "clean.json"), "--config", str(cfg_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "sheetsentry: $.const_whitelist: numbers must fit a float\n"
+
+    @pytest.mark.parametrize("flag", ["file", "--config"])
+    def test_unreadable_files_keep_their_messages(self, fixtures_dir, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing.json")
+        if flag == "file":
+            argv, prefix = ["audit", missing], f"cannot read {missing}: "
+        else:
+            argv = ["audit", str(fixtures_dir / "clean.json"), "--config", missing]
+            prefix = f"cannot read config {missing}: "
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"sheetsentry: {prefix}")
+
+
 class TestSeverityThreshold:
     def test_exit_is_function_of_findings_and_threshold(self, fixtures_dir):
         report = audit_workbook(str(fixtures_dir / "all_rules.json"))
