@@ -10,6 +10,7 @@ internal error. Exit code 1 never means a crash.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -141,6 +142,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A one-shot process whose pipeline allocates no reference cycles
+    # (pinned by tests/test_collector.py::TestNoCyclicGarbage): automatic
+    # collection would only rescan the live ASTs and graph, so pause it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "audit":
             return _cmd_audit(args)
@@ -156,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         sys.stderr.write(f"sheetsentry: internal error: {type(exc).__name__}: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     raise AssertionError("unreachable")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -113,6 +114,27 @@ def reverse_sort_key(g) -> None:
     and an engine scheduling over ``g`` pop the largest ready node."""
     forward = g.sort_key
     g.sort_key = lambda node: tuple(-x for x in forward(node))
+
+
+def cyclic_garbage(fn) -> int:
+    """Call ``fn`` with the cyclic collector paused and return the number of
+    objects in the reference cycles it left behind.
+
+    A first young collection empties generation 0. With collection off,
+    all that ``fn`` allocates stays there, so collecting generation 0
+    afterwards finds exactly the unreachable cycles ``fn`` made. Neither
+    collection scans the older generations, so the cost follows ``fn``,
+    not the size of the test process.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect(0)
+        fn()
+        return gc.collect(0)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_wbjson(tmp_path: Path, doc: dict, name: str = "wb.json") -> str:

@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import pytest
 
+from sheetsentry import rules
 from sheetsentry.errors import FormatError
 from sheetsentry.evaluate import staleness_report
+from sheetsentry.formula import tokenize
 from sheetsentry.graph import build_graph
 from sheetsentry.metrics import Analysis, script_metrics
 from sheetsentry.normalize import copy_classes
@@ -30,9 +32,10 @@ from sheetsentry.workbook import (
     Manifest,
     ScriptModule,
     WorkbookSettings,
+    workbook_from_dict,
 )
 
-from conftest import addr, make_workbook
+from conftest import addr, make_workbook, scale_grid_doc
 
 ALL_RULE_IDS = {
     "SPEC_MISSING",
@@ -264,17 +267,51 @@ class TestDeepNestingRule:
 
 
 class TestLongFormulaRule:
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        """Every text the rule hands to ``tokenize``, in call order."""
+        texts = []
+
+        def counting(src):
+            texts.append(src)
+            return tokenize(src)
+
+        monkeypatch.setattr(rules, "tokenize", counting)
+        return texts
+
     def test_threshold_edge(self, fixtures_dir):
         # 41 tokens fires, 40 does not
         report = audit_fixture(fixtures_dir, "long_formula.json")
         assert [f.rule_id for f in report.findings] == ["LONG_FORMULA"]
-        from sheetsentry.formula import tokenize
 
         src40 = "=-" + "+".join(f"A{i}" for i in range(1, 21))
         assert len(tokenize(src40[1:])) == 40
         wb = make_workbook({"S": {"B1": (src40, 0)}})
         report = audit_workbook(wb)
         assert all(f.rule_id != "LONG_FORMULA" for f in report.findings)
+
+    def test_one_character_tokens_at_the_budget(self):
+        # a text of 41 characters can hold 41 tokens, one of 40 cannot exceed 40
+        ones41 = "=" + "+".join("1" * 21)
+        ones40 = "=+" + "+".join("1" * 20)
+        wb = make_workbook({"S": {"B1": (ones41, 21), "B2": (ones40, 20)}})
+        report = audit_workbook(wb)
+        assert [f.locations for f in report.findings if f.rule_id == "LONG_FORMULA"] == [
+            (addr("S", "B1"),)
+        ]
+
+    def test_short_representatives_are_not_tokenized(self, tokenized):
+        # criterion 8's grid: 400 classes of "=A{row}*k", none past the budget
+        report = audit_workbook(workbook_from_dict(scale_grid_doc()))
+        assert report.metrics.unique_formulae == 400
+        assert tokenized == []
+
+    def test_long_representative_keeps_its_finding(self, fixtures_dir, tokenized):
+        report = audit_fixture(fixtures_dir, "long_formula.json")
+        [finding] = report.findings
+        assert finding.message == "formula has 41 tokens (limit 40)"
+        assert finding.evidence == (("tokens", 41), ("class_size", 1))
+        assert len(tokenized) == 1
 
     def test_figure_like_formula_fires(self):
         src = (
