@@ -7,9 +7,10 @@ the file was saved in an inconsistent state (edited inputs with manual
 recalculation off, overwritten results, and similar hazards).
 
 Semantics follow mainstream spreadsheet behavior: blanks act as zero in
-arithmetic, comparisons order mixed types as number < text < boolean,
-text comparison is case-insensitive, errors propagate through operators,
-and cells on a reference cycle evaluate to ``#CIRC!``. References into
+arithmetic and a formula whose result is a blank cell holds 0, comparisons
+order mixed types as number < text < boolean, text comparison is
+case-insensitive, errors propagate through operators, and cells on a
+reference cycle evaluate to ``#CIRC!``. References into
 other workbooks, cells and ranges alike, cannot be resolved from a single
 file and evaluate to ``#REF!``; cells whose recomputed value is that
 ``#REF!`` are excluded from staleness entries and reported separately.
@@ -168,7 +169,8 @@ class Engine:
     def run(self) -> None:
         """Evaluate every formula cell, once.
 
-        Only formula cells are scheduled, over :attr:`DepGraph.formulas` in
+        The formula cells :attr:`DepGraph.formulas` leaves out read only
+        inputs and go first, in reading order; then its cells follow in
         :func:`schedule`'s order. Any order that puts precedents first gives
         the same values, which the tests check by scheduling with the
         reversed key. Formula cells on a reference cycle get ``#CIRC!``
@@ -180,7 +182,8 @@ class Engine:
         for node in in_cycle:
             if node in self.asts:
                 self.values[node] = _CIRC
-        for node in order:
+        linked = in_cycle.union(order)
+        for node in [addr for addr in self.asts if addr not in linked] + order:
             ast = self.asts.get(node)
             if ast is not None:
                 self._current_tainted = False
@@ -189,6 +192,8 @@ class Engine:
                     # a NaN or infinite input, which only a Workbook built in
                     # memory can hold, read through a reference unchanged
                     val = _VALUE_ERR
+                elif val.kind is ValueKind.BLANK:  # as a spreadsheet caches it
+                    val = _blank_as(ValueKind.NUMBER)
                 self.values[node] = val
                 if self._current_tainted:
                     self.tainted.add(node)
@@ -685,9 +690,8 @@ def staleness_report(
     engine.run()
     entries: list[StalenessEntry] = []
     exclusions: list[CellAddress] = []
-    for addr, cell in wb.iter_cells():
-        if cell.formula is None:
-            continue
+    for addr in engine.asts:
+        cell = wb.cell(addr)
         recomputed = engine.values[addr]
         if addr in engine.tainted and recomputed == _REF_ERR:
             exclusions.append(addr)

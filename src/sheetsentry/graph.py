@@ -10,13 +10,13 @@ built from that form lazily, each on first use:
   covered cell up to a cap; a larger range stays a single aggregate
   :class:`RangeNode`, which keeps ordering sound while staying coarse for
   precedent queries.
-- :attr:`DepGraph.formulas`, the graph over formula cells alone. Ranges
-  are resolved to the formula cells inside them through the sheet's column
-  index (:meth:`Sheet.column_slices`) without being expanded, so its size
-  follows the formulas, not the area they read. The recomputation engine
-  schedules over it and reads ranges through the same index.
+- :attr:`DepGraph.formulas`, the links between formula cells; a formula
+  cell on no link is no node. Ranges are resolved to the formula cells
+  inside them through the sheet's column index (:meth:`Sheet.column_slices`)
+  without being expanded, so its size follows the formulas that read
+  formulas, not the area they read. The engine schedules over it.
 
-Each view says only what its nodes read. One builder, :func:`_adjacency`,
+Each view says what its nodes read, once each. One builder, :func:`_adjacency`,
 turns that into unsorted adjacency lists; the queries sort what they return.
 
 Every reference is resolved by :meth:`Workbook.resolve`, as in the
@@ -133,14 +133,14 @@ class DepGraph:
 
     @cached_property
     def formulas(self) -> DepGraph:
-        """The graph over formula cells alone, which is all evaluation has to order.
+        """The links between formula cells, which is all evaluation has to order.
 
         It has an edge u -> v exactly when formula cell v reads formula cell
-        u, directly or through a range; a range is resolved to the formula
-        cells inside it through its sheet's column index
-        (:meth:`Sheet.column_slices`), so no range is expanded and inputs and
-        blanks never become nodes. Cycle membership of formula cells is the
-        same as in the full view.
+        u, directly or through a range, and no node off those edges; a range
+        is resolved to the formula cells inside it through its sheet's column
+        index (:meth:`Sheet.column_slices`), so no range is expanded and
+        inputs and blanks never become nodes. Cycle membership of formula
+        cells is the same as in the full view.
         """
         refs = self._refs
         reads: dict[Node, list[Node]] = {}
@@ -155,7 +155,8 @@ class DepGraph:
                     node.start_col, node.start_row, node.end_col, node.end_row
                 ):
                     found += column.formulas[column.before[lo]:column.before[hi]]
-            reads[addr] = list(found)  # sized exactly: appending over-allocates
+            if found:  # sized exactly; one reference cannot read a cell twice
+                reads[addr] = list(dict.fromkeys(found) if len(nodes) > 1 else found)
         graph = DepGraph(reads, self.external_links, self.wb)
         # every node reads only formula cells, which need no expansion
         graph._view = _adjacency(reads)
@@ -275,7 +276,7 @@ def _expand(refs: dict[CellAddress, list[Node]]) -> dict[Node, list[Node]]:
                     for col in range(node.start_col, node.end_col + 1)
                     for row in range(node.start_row, node.end_row + 1)
                 ]
-        reads[addr] = cells
+        reads[addr] = list(dict.fromkeys(cells)) if len(nodes) > 1 else cells
     if big_ranges:
         for addr in refs:
             for node in big_ranges.get(addr.sheet.casefold(), ()):
@@ -289,14 +290,12 @@ def _adjacency(
 ) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
     """Precedent and dependent lists of the graph whose nodes read ``reads``.
 
-    Each node's reads are deduplicated in place, so ``reads`` itself becomes
-    the precedent map; a node that is read but reads nothing joins it with
-    no precedents. Nothing is sorted.
+    Each node's reads must hold no duplicate. ``reads`` itself becomes the
+    precedent map; a node that is read but reads nothing joins it with no
+    precedents. Nothing is sorted.
     """
     deps: dict[Node, list[Node]] = {node: [] for node in reads}
     for node, srcs in reads.items():
-        if len(srcs) > 1:
-            srcs[:] = dict.fromkeys(srcs)
         for src in srcs:
             if src in deps:
                 deps[src].append(node)

@@ -207,7 +207,7 @@ class RuleConfig:
                 raise FormatError(f"$.{key}", f"must be a positive integer, got {value!r}")
         for key in ("script_min_comment_ratio", "script_min_indent_ratio"):
             value = getattr(self, key)
-            if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+            if type(value) not in (int, float) or not 0.0 < value <= 1.0:  # bool excluded
                 raise FormatError(f"$.{key}", f"must lie in (0, 1], got {value!r}")
         unknown = set(self.enabled) - set(RULES)
         if unknown:

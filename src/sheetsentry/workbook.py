@@ -227,23 +227,16 @@ class Column:
 class Sheet:
     """One sheet: a name plus a sparse cell map keyed by ``(col, row)``.
 
-    Treat as immutable once part of a workbook; the reading-order cell
-    list and the column index are memoized.
+    Treat as immutable once part of a workbook. ``cells`` is the one store
+    of the sheet's cells; the column index is built from it on first use.
     """
 
     name: str
     cells: dict[tuple[int, int], Cell] = field(default_factory=dict)
-    _sorted: list | None = field(default=None, init=False, repr=False, compare=False)
     _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def cell(self, col: int, row: int) -> Cell | None:
         return self.cells.get((col, row))
-
-    def sorted_items(self) -> list[tuple[tuple[int, int], Cell]]:
-        """Cells in reading order: by row, then column."""
-        if self._sorted is None or len(self._sorted) != len(self.cells):
-            self._sorted = sorted(self.cells.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return self._sorted
 
     def column_slices(self, c1: int, r1: int, c2: int, r2: int) -> list[tuple[Column, int, int]]:
         """The stored cells inside a rectangle, as ``(column, lo, hi)`` per
@@ -254,7 +247,7 @@ class Sheet:
         """
         if self._columns is None:
             by_col: dict[int, Column] = {}
-            for (col, row), cell in self.sorted_items():
+            for (col, row), cell in sorted(self.cells.items()):  # column-major
                 column = by_col.get(col)
                 if column is None:
                     column = by_col[col] = Column([], [], [], [0])
@@ -263,7 +256,7 @@ class Sheet:
                 if cell.formula is not None:
                     column.formulas.append(CellAddress(self.name, col, row))
                 column.before.append(len(column.formulas))
-            self._columns = (sorted(by_col), by_col)
+            self._columns = (list(by_col), by_col)
         cols, by_col = self._columns
         out = []
         for col in cols[bisect_left(cols, c1):bisect_right(cols, c2)]:
@@ -328,9 +321,10 @@ class Workbook:
         return sheet.cells.get((addr.col, addr.row))
 
     def iter_cells(self) -> Iterator[tuple[CellAddress, Cell]]:
-        """All stored cells in sheet order, then reading order within a sheet."""
+        """All stored cells in sheet order, then reading order (row, then
+        column) within a sheet, sorted afresh on each call."""
         for sheet in self.sheets:
-            for (col, row), cell in sheet.sorted_items():
+            for (col, row), cell in sorted(sheet.cells.items(), key=lambda kv: kv[0][::-1]):
                 yield CellAddress(sheet.name, col, row), cell
 
     def address_sort_key(self, addr: CellAddress) -> tuple[int, int, int]:

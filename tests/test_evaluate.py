@@ -18,7 +18,7 @@ from sheetsentry.graph import (
     schedule,
     topo_order,
 )
-from sheetsentry.workbook import Cell, CellValue, Sheet, Workbook
+from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
 
 from conftest import addr, make_workbook, reverse_sort_key
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
@@ -159,6 +159,27 @@ class TestFunctions:
 
     def test_bare_range_is_value_error(self):
         assert eval_one("=A1:A3+1") == err("#VALUE!")
+
+
+class TestBlankResult:
+    """A formula whose result is a blank cell holds 0, as a spreadsheet caches it."""
+
+    @pytest.mark.parametrize("formula", ["=A1", "=IF(TRUE,A1)", "=VLOOKUP(1,B1:C1,2,FALSE)"])
+    def test_recomputes_to_zero(self, formula):
+        assert eval_one(formula, {"B1": 1}) == num(0)
+
+    def test_readers_see_the_zero(self):
+        cells = {"A2": "=A1"}
+        assert eval_one("=COUNT(A2)", cells) == num(1)
+        assert eval_one('=A2&"x"', cells) == CellValue.text("0x")
+        assert eval_one('=A2=""', cells) == CellValue.boolean(False)
+
+    def test_cached_zero_is_not_stale(self):
+        assert staleness_report(make_workbook({"S": {"B1": ("=A1", 0)}})).entries == []
+
+    def test_no_cached_value_is_stale(self):
+        [entry] = staleness_report(make_workbook({"S": {"B1": "=A1"}})).entries
+        assert (entry.cached, entry.recomputed) == (BLANK, num(0))
 
 
 class TestWorkbookRecompute:
@@ -457,12 +478,23 @@ FORMULA_GRAPH_CASES = {
     "capped_range_over_formula": {
         "S": {"A5": "=C1", "C1": 2, "B1": "=SUM(A1:A200000)", "B2": "=B1+A5", "D1": "=C1*3"},
     },
+    # inputs in A, B doubles each, C runs a total over B, D reads inputs only
+    "running_total_over_formulas": {
+        "S": {
+            cell: spec
+            for r in range(1, 6)
+            for cell, spec in (
+                (f"A{r}", r), (f"B{r}", f"=A{r}*2"),
+                (f"C{r}", f"=SUM($B$1:B{r})"), (f"D{r}", f"=A{r}+1"),
+            )
+        },
+    },
 }
 
 
 def full_view_formula_edges(g) -> set:
     """Formula-to-formula edges of the cell-level view: u -> v, or u -> RangeNode -> v."""
-    formulas = set(g.formulas.nodes)
+    formulas = set(parse_all_formulas(g.wb))
     edges = set()
     for src, dst in g.edges():
         if src not in formulas:
@@ -491,8 +523,9 @@ class TestFormulaGraph:
     def test_edges_match_the_full_view(self, name):
         wb = make_workbook(FORMULA_GRAPH_CASES[name])
         g = build_graph(wb)
-        assert set(g.formulas.nodes) == set(parse_all_formulas(wb))
-        assert set(g.formulas.edges()) == full_view_formula_edges(g)
+        edges = full_view_formula_edges(g)
+        assert set(g.formulas.nodes) == {node for edge in edges for node in edge}
+        assert set(g.formulas.edges()) == edges
         for node in g.formulas.nodes:
             assert g.formulas.precedents(node) == sorted(
                 g.formulas.precedents(node), key=g.sort_key
@@ -502,8 +535,7 @@ class TestFormulaGraph:
     def test_cycle_nodes_match_the_full_view(self, name):
         wb = make_workbook(FORMULA_GRAPH_CASES[name])
         g = build_graph(wb)
-        formulas = set(g.formulas.nodes)
-        assert cycle_nodes(g.formulas) == cycle_nodes(g) & formulas
+        assert cycle_nodes(g.formulas) == cycle_nodes(g) & set(parse_all_formulas(wb))
 
     @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
     @pytest.mark.parametrize("pop", ["min", "max"])
@@ -524,6 +556,15 @@ class TestFormulaGraph:
         assert cross.formulas.precedents(addr("Calc", "A1")) == [
             addr("Data", "A2"), addr("Data", "B2"),
         ]
+
+    def test_nodes_are_the_linked_formula_cells(self):
+        wb = make_workbook(FORMULA_GRAPH_CASES["running_total_over_formulas"])
+        g = build_graph(wb).formulas
+        assert set(g.nodes) == {addr("S", f"{c}{r}") for c in "BC" for r in range(1, 6)}
+        assert g.precedents(addr("S", "C3")) == [addr("S", f"B{r}") for r in (1, 2, 3)]
+        assert g.dependents(addr("S", "C3")) == []
+        own = build_graph(make_workbook({"S": {"A1": "=A1+1", "B1": "=1"}})).formulas
+        assert own.nodes == [addr("S", "A1")]
 
     def test_random_workbooks_match_the_full_view(self):
         rng = random.Random(11)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from sheetsentry.metrics import (
     script_metrics,
 )
 from sheetsentry.report import audit_workbook
+from sheetsentry.rules import RuleConfig, run_rules
 from sheetsentry.graph import build_graph
 from sheetsentry.workbook import (
     ScriptModule,
@@ -294,6 +297,30 @@ class TestOnePassAnalysis:
         monkeypatch.setattr(Engine, "run", forbidden)
         wb = load_workbook(str(fixtures_dir / "all_rules.json"))
         assert compute_metrics(wb).formula_cells == stored_formula_count(wb)
+
+
+class TestMemoryFollowsFormulas:
+    """Criterion 8's grid holds 100,000 formula cells that read only inputs."""
+
+    def test_formula_view_is_empty(self):
+        a = Analysis(workbook_from_dict(scale_grid_doc()))
+        assert a.graph.formulas.node_count() == 0
+
+    def test_retained_bytes_per_formula_cell(self):
+        wb = workbook_from_dict(scale_grid_doc(40, 250))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            a = Analysis(wb)
+            compute_metrics(a)
+            run_rules(a, RuleConfig())
+            assert not a.staleness.entries
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(a.asts) <= 650
 
 
 class TestParserWork:

@@ -490,6 +490,9 @@ class TestConfig:
             RuleConfig(script_min_comment_ratio=1.5)
         with pytest.raises(FormatError):
             RuleConfig(enabled=frozenset({"NOPE"}))
+        for key in ("script_min_comment_ratio", "script_min_indent_ratio"):
+            with pytest.raises(FormatError, match=key):
+                RuleConfig.from_dict({key: True})
 
 
 class TestSorting:
