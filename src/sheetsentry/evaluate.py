@@ -210,20 +210,20 @@ class Engine:
             return None
         return found
 
-    def _cell_value(self, sheet: str, col: int, row: int) -> CellValue:
-        addr = CellAddress(sheet, col, row)
-        got = self.values.get(addr)
-        if got is not None:
-            if addr in self.tainted:
-                self._current_tainted = True
-            return got
-        cell = self.wb.cell(addr)
+    def _cell_value(self, sheet: Sheet, col: int, row: int) -> CellValue:
+        cell = sheet.cells.get((col, row))
         if cell is None:
             return BLANK
-        if cell.formula is not None:
+        if cell.formula is None:
+            return cell.cached
+        addr = CellAddress(sheet.name, col, row)
+        got = self.values.get(addr)
+        if got is None:
             # only reachable if evaluation order was violated
             raise RuntimeError(f"precedent {addr} not yet evaluated")
-        return cell.cached
+        if addr in self.tainted:
+            self._current_tainted = True
+        return got
 
     def _read(self, column: Column, lo: int, hi: int) -> list[CellValue]:
         """Values of a column's stored cells ``lo .. hi - 1``, in row order."""
@@ -290,7 +290,7 @@ class Engine:
         found = self._sheet(ref, sheet)
         if found is None:
             return _REF_ERR
-        return self._cell_value(found.name, ref.col, ref.row)
+        return self._cell_value(found, ref.col, ref.row)
 
     def _eval_unary(self, node: Unary, sheet: str) -> CellValue:
         val = self._eval(node.operand, sheet)
@@ -554,7 +554,7 @@ class Engine:
             self._current_tainted = True
         if pos is None:
             return index.error or _NA
-        return self._cell_value(sheet.name, rng.start.col + offset, index.rows[pos])
+        return self._cell_value(sheet, rng.start.col + offset, index.rows[pos])
 
     def _build_lookup(self, sheet: Sheet, col: int, first_row: int, last_row: int) -> _LookupIndex:
         """Index one key column over one row span.

@@ -9,12 +9,15 @@ built from that form lazily, each on first use:
   edges run precedent -> dependent. A range expands to one edge per
   covered cell up to a cap; a larger range stays a single aggregate
   :class:`RangeNode`, which keeps ordering sound while staying coarse for
-  precedent queries.
+  precedent queries. The aggregate reads the formula cells inside it.
 - :attr:`DepGraph.formulas`, the links between formula cells; a formula
-  cell on no link is no node. Ranges are resolved to the formula cells
-  inside them through the sheet's column index (:meth:`Sheet.column_slices`)
-  without being expanded, so its size follows the formulas that read
-  formulas, not the area they read. The engine schedules over it.
+  cell on no link is no node. The engine schedules over it.
+
+Both views find the formula cells inside a range in one way,
+:func:`_formula_cells`, through the sheet's column index
+(:meth:`Sheet.column_slices`). That costs a bisection per occupied column
+of the range, not a walk over its area or over every formula cell, so the
+formula view's size follows the formulas that read formulas.
 
 Each view says what its nodes read, once each. One builder, :func:`_adjacency`,
 turns that into unsorted adjacency lists; the queries sort what they return.
@@ -74,9 +77,6 @@ class RangeNode:
     def size(self) -> int:
         return (self.end_col - self.start_col + 1) * (self.end_row - self.start_row + 1)
 
-    def covers(self, col: int, row: int) -> bool:
-        return self.start_col <= col <= self.end_col and self.start_row <= row <= self.end_row
-
 
 Node = Union[CellAddress, RangeNode]
 
@@ -121,7 +121,7 @@ class DepGraph:
 
     @cached_property
     def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
-        return _adjacency(_expand(self._refs))
+        return _adjacency(_expand(self._refs, self.wb))
 
     @property
     def _preds(self) -> dict[Node, list[Node]]:
@@ -150,11 +150,8 @@ class DepGraph:
                 if type(node) is CellAddress:
                     if node in refs:
                         found.append(node)
-                    continue
-                for column, lo, hi in self.wb.sheet(node.sheet).column_slices(
-                    node.start_col, node.start_row, node.end_col, node.end_row
-                ):
-                    found += column.formulas[column.before[lo]:column.before[hi]]
+                else:
+                    found += _formula_cells(self.wb, node)
             if found:  # sized exactly; one reference cannot read a cell twice
                 reads[addr] = list(dict.fromkeys(found) if len(nodes) > 1 else found)
         graph = DepGraph(reads, self.external_links, self.wb)
@@ -250,16 +247,15 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     return DepGraph(refs, external_links, wb)
 
 
-def _expand(refs: dict[CellAddress, list[Node]]) -> dict[Node, list[Node]]:
+def _expand(refs: dict[CellAddress, list[Node]], wb: Workbook) -> dict[Node, list[Node]]:
     """What each node of the cell-level view reads.
 
     A formula cell reads each cell it references and, for a range, each
     covered cell up to :data:`RANGE_EXPANSION_CAP`; a larger range is read
-    as one aggregate :class:`RangeNode`, which reads every formula cell it
-    covers.
+    as one aggregate :class:`RangeNode`, which reads the formula cells
+    inside it (:func:`_formula_cells`).
     """
     reads: dict[Node, list[Node]] = {}
-    big_ranges: dict[str, list[RangeNode]] = {}
     for addr, nodes in refs.items():
         cells: list[Node] = []
         for node in nodes:
@@ -268,8 +264,7 @@ def _expand(refs: dict[CellAddress, list[Node]]) -> dict[Node, list[Node]]:
             elif node.size() > RANGE_EXPANSION_CAP:
                 cells.append(node)
                 if node not in reads:
-                    reads[node] = []
-                    big_ranges.setdefault(node.sheet.casefold(), []).append(node)
+                    reads[node] = _formula_cells(wb, node)
             else:
                 cells += [
                     CellAddress(node.sheet, col, row)
@@ -277,12 +272,18 @@ def _expand(refs: dict[CellAddress, list[Node]]) -> dict[Node, list[Node]]:
                     for row in range(node.start_row, node.end_row + 1)
                 ]
         reads[addr] = list(dict.fromkeys(cells)) if len(nodes) > 1 else cells
-    if big_ranges:
-        for addr in refs:
-            for node in big_ranges.get(addr.sheet.casefold(), ()):
-                if node.covers(addr.col, addr.row):
-                    reads[node].append(addr)
     return reads
+
+
+def _formula_cells(wb: Workbook, node: RangeNode) -> list[CellAddress]:
+    """The formula cells inside a range, column by column, found through its
+    sheet's column index (:meth:`Sheet.column_slices`) whatever its area."""
+    found: list[CellAddress] = []
+    for column, lo, hi in wb.sheet(node.sheet).column_slices(
+        node.start_col, node.start_row, node.end_col, node.end_row
+    ):
+        found += column.formulas[column.before[lo]:column.before[hi]]
+    return found
 
 
 def _adjacency(

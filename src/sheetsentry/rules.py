@@ -447,7 +447,10 @@ def check_copy_class_holes(
     wb: Workbook, classes: list[CopyClass], cfg: RuleConfig
 ) -> list[Finding]:
     """Literal values sitting inside a contiguous one-row or one-column run
-    of copied formulas: the signature of an overwritten formula."""
+    of copied formulas: the signature of an overwritten formula.
+
+    A run's stored cells come from its sheet's column index, so the cost
+    follows the stored cells inside the run, not its length."""
     findings = []
     for cls in classes:
         if len(cls.members) < cfg.min_copy_class_for_hole:
@@ -457,40 +460,28 @@ def check_copy_class_holes(
             continue
         cols = {m.col for m in cls.members}
         rows = {m.row for m in cls.members}
-        if len(cols) == 1:
-            fixed_col = next(iter(cols))
-            low, high = min(rows), max(rows)
-            holes = [
-                CellAddress(next(iter(sheets)), fixed_col, row)
-                for row in range(low, high + 1)
-                if row not in rows
-            ]
-        elif len(rows) == 1:
-            fixed_row = next(iter(rows))
-            low, high = min(cols), max(cols)
-            holes = [
-                CellAddress(next(iter(sheets)), col, fixed_row)
-                for col in range(low, high + 1)
-                if col not in cols
-            ]
-        else:
+        if len(cols) != 1 and len(rows) != 1:
             continue
-        for hole in holes:
-            cell = wb.cell(hole)
-            if cell is None or cell.formula is not None:
-                continue
-            findings.append(
-                _finding(
-                    "COPY_CLASS_HOLE",
-                    (hole,),
-                    f"literal value {cell.cached.display()} interrupts a run of "
-                    f"{len(cls.members)} copies of the same formula",
-                    (
-                        ("normalized_formula", cls.normalized),
-                        ("class_size", len(cls.members)),
-                    ),
+        c1, r1, c2, r2 = min(cols), min(rows), max(cols), max(rows)
+        if (c2 - c1 + 1) * (r2 - r1 + 1) == len(cls.members):
+            continue  # no gap, no hole; and the column index need not be built
+        name = next(iter(sheets))
+        for column, lo, hi in wb.sheet(name).column_slices(c1, r1, c2, r2):
+            for row, cell in zip(column.rows[lo:hi], column.cells[lo:hi]):
+                if cell.formula is not None:
+                    continue
+                findings.append(
+                    _finding(
+                        "COPY_CLASS_HOLE",
+                        (CellAddress(name, column.col, row),),
+                        f"literal value {cell.cached.display()} interrupts a run of "
+                        f"{len(cls.members)} copies of the same formula",
+                        (
+                            ("normalized_formula", cls.normalized),
+                            ("class_size", len(cls.members)),
+                        ),
+                    )
                 )
-            )
     return findings
 
 

@@ -210,13 +210,14 @@ class Manifest:
 
 @dataclass(frozen=True, slots=True)
 class Column:
-    """The stored cells of one sheet column, in row order.
+    """The stored cells of column ``col`` of one sheet, in row order.
 
     ``formulas`` holds the addresses of the formula cells among them and
     ``before[i]`` counts the formula cells above position ``i``, so the
     formula cells of a slice ``lo:hi`` are ``formulas[before[lo]:before[hi]]``.
     """
 
+    col: int
     rows: list[int]
     cells: list[Cell]
     formulas: list[CellAddress]
@@ -250,7 +251,7 @@ class Sheet:
             for (col, row), cell in sorted(self.cells.items()):  # column-major
                 column = by_col.get(col)
                 if column is None:
-                    column = by_col[col] = Column([], [], [], [0])
+                    column = by_col[col] = Column(col, [], [], [], [0])
                 column.rows.append(row)
                 column.cells.append(cell)
                 if cell.formula is not None:

@@ -31,7 +31,7 @@ class ScanEngine(Engine):
         lo = bisect_left(stored, (r1, 0))
         hi = bisect_right(stored, (r2, 1 << 30))
         return [
-            self._cell_value(found.name, col, row)
+            self._cell_value(found, col, row)
             for row, col in stored[lo:hi]
             if c1 <= col <= c2
         ]
@@ -44,11 +44,11 @@ class ScanEngine(Engine):
         for row, col in stored[lo:hi]:
             if col != first_col:
                 continue
-            candidate = self._cell_value(sheet.name, col, row)
+            candidate = self._cell_value(sheet, col, row)
             if candidate.is_error():
                 return candidate
             if candidate.is_blank():
                 continue
             if self._compare("=", key, candidate).value:
-                return self._cell_value(sheet.name, first_col + offset, row)
+                return self._cell_value(sheet, first_col + offset, row)
         return _NA

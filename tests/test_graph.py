@@ -15,12 +15,31 @@ from sheetsentry.graph import (
     to_dot,
     topo_order,
 )
-from sheetsentry.workbook import CellAddress
+from sheetsentry.workbook import CellAddress, Sheet
 from conftest import addr, make_workbook
 from evalgen import random_acyclic_workbook
 from test_evaluate import CYCLE_CASES, FORMULA_GRAPH_CASES
 
 RANGE_CAP_CELLS = {"S": {"A5": "=C1", "C1": 2, "B1": "=SUM(A1:A200000)"}}
+# Over-cap ranges on two sheets, one qualified in lower case, with formula
+# cells inside and outside each of them.
+TWO_SHEET_CAP_CELLS = {
+    "Data": {
+        "A1": 1,
+        "A7": "=A1*2",
+        "B3": "=A7+1",
+        "B150001": "=B3",
+        "C2": "=SUM(A1:B200000)",
+        "D9": "=C2",
+    },
+    "Sum": {
+        "A1": "=SUM(data!A1:B150000)",
+        "B2": "=SUM(data!A2:C120000)+SUM(data!A1:B150000)",
+        "C1": "=data!B3",
+        "A300000": "=C1",
+        "D1": "=SUM(A1:B400000)",
+    },
+}
 
 
 class TestBuildGraph:
@@ -217,7 +236,11 @@ def expand_oracle(refs, key):
                         add_edge(CellAddress(node.sheet, col, row), addr_)
     for node in big_ranges:
         for addr_ in refs:
-            if addr_.sheet.casefold() == node.sheet.casefold() and node.covers(addr_.col, addr_.row):
+            if (
+                addr_.sheet.casefold() == node.sheet.casefold()
+                and node.start_col <= addr_.col <= node.end_col
+                and node.start_row <= addr_.row <= node.end_row
+            ):
                 add_edge(addr_, node)
 
     def ordered(nodes):
@@ -230,6 +253,7 @@ def oracle_workbooks():
     yield from (make_workbook(cells) for cells in FORMULA_GRAPH_CASES.values())
     yield from (make_workbook({"S": cells}) for cells, _ in CYCLE_CASES.values())
     yield make_workbook(RANGE_CAP_CELLS)
+    yield make_workbook(TWO_SHEET_CAP_CELLS)
     rng = random.Random(23)
     yield from (random_acyclic_workbook(rng) for _ in range(30))
 
@@ -257,6 +281,21 @@ class TestAdjacency:
                 (src, dst) for src in sorted(deps, key=g.sort_key) for dst in deps[src]
             ]
             assert g.edge_count() == sum(map(len, deps.values()))
+
+    def test_aggregates_read_the_column_index_once_each(self, monkeypatch):
+        cells = {f"A{r}": f"=SUM(B{r}:B{r + RANGE_EXPANSION_CAP})" for r in range(1, 21)}
+        cells.update({f"C{r}": "=SUM(B1:B200000)" for r in range(1, 6)})
+        cells.update({f"B{r}": f"=A{r}" for r in range(1, 40, 3)})
+        g = build_graph(make_workbook({"S": cells}))
+        forward, calls = Sheet.column_slices, []
+
+        def counting(sheet, *rect):
+            calls.append(rect)
+            return forward(sheet, *rect)
+
+        monkeypatch.setattr(Sheet, "column_slices", counting)
+        assert g.node_count() > 0
+        assert len(calls) == 21  # one per distinct over-cap range
 
     @pytest.mark.parametrize("view", ["cells", "formulas"])
     def test_building_a_view_calls_no_sort_key(self, view):

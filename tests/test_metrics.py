@@ -380,7 +380,7 @@ class TestNoRangeExpansion:
 
     @pytest.fixture
     def forbid_expansion(self, monkeypatch):
-        def forbidden(refs, key):
+        def forbidden(refs, wb):
             raise AssertionError("a range was expanded cell by cell")
 
         monkeypatch.setattr(graph_module, "_expand", forbidden)

@@ -6,6 +6,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sheetsentry import rules
 from sheetsentry.errors import FormatError
@@ -28,14 +30,20 @@ from sheetsentry.rules import (
     check_stale_values,
 )
 from sheetsentry.workbook import (
+    BLANK,
     CalcMode,
+    Cell,
+    CellAddress,
+    CellValue,
     Manifest,
     ScriptModule,
+    Sheet,
+    Workbook,
     WorkbookSettings,
     workbook_from_dict,
 )
 
-from conftest import addr, make_workbook, scale_grid_doc
+from conftest import addr, fuzz_examples, make_workbook, scale_grid_doc
 
 ALL_RULE_IDS = {
     "SPEC_MISSING",
@@ -374,6 +382,112 @@ class TestCopyClassHoleRule:
                 cells[f"{col}{r}"] = f"=A{r}*100"
         cells["B6"] = 42
         assert self._holes(cells, threshold=4) == []
+
+
+def probed_holes(wb, classes, cfg):
+    """COPY_CLASS_HOLE as it was before it read the column index: every
+    position between a run's first and last member is probed with
+    ``Workbook.cell``, one loop for column runs and one for row runs."""
+    findings = []
+    for cls in classes:
+        if len(cls.members) < cfg.min_copy_class_for_hole:
+            continue
+        sheets = {m.sheet for m in cls.members}
+        if len(sheets) != 1:
+            continue
+        cols = {m.col for m in cls.members}
+        rows = {m.row for m in cls.members}
+        if len(cols) == 1:
+            fixed_col = next(iter(cols))
+            holes = [
+                CellAddress(next(iter(sheets)), fixed_col, row)
+                for row in range(min(rows), max(rows) + 1)
+                if row not in rows
+            ]
+        elif len(rows) == 1:
+            fixed_row = next(iter(rows))
+            holes = [
+                CellAddress(next(iter(sheets)), col, fixed_row)
+                for col in range(min(cols), max(cols) + 1)
+                if col not in cols
+            ]
+        else:
+            continue
+        for hole in holes:
+            cell = wb.cell(hole)
+            if cell is None or cell.formula is not None:
+                continue
+            findings.append(
+                rules._finding(
+                    "COPY_CLASS_HOLE",
+                    (hole,),
+                    f"literal value {cell.cached.display()} interrupts a run of "
+                    f"{len(cls.members)} copies of the same formula",
+                    (("normalized_formula", cls.normalized), ("class_size", len(cls.members))),
+                )
+            )
+    return findings
+
+
+MEMBER = Cell(formula="=1+1", cached=BLANK)  # position-free: every copy is one class
+GAP_CELLS = st.sampled_from(
+    [
+        None,  # nothing stored
+        Cell(formula=None, cached=BLANK),  # a stored blank, as only memory holds
+        Cell(formula=None, cached=CellValue.number(42)),
+        Cell(formula=None, cached=CellValue.text("x")),
+        Cell(formula="=2*3", cached=CellValue.number(6)),  # another class's formula
+        Cell(formula="=A1", cached=BLANK),
+    ]
+)
+
+
+@st.composite
+def hole_workbooks(draw):
+    """One or two small sheets; on the first, one column or row run of
+    ``MEMBER`` copies with gaps, over scattered cells of every kind."""
+    cells = {}
+    anywhere = st.tuples(st.integers(1, 8), st.integers(1, 8))
+    for pos in draw(st.lists(anywhere, max_size=10)):
+        cells[pos] = draw(GAP_CELLS)
+    line, vertical = draw(st.integers(1, 8)), draw(st.booleans())
+    for i in range(draw(st.integers(1, 4)), draw(st.integers(5, 9))):
+        pos = (line, i) if vertical else (i, line)
+        cells[pos] = draw(st.one_of(st.just(MEMBER), st.just(MEMBER), GAP_CELLS))
+    if draw(st.integers(0, 3)) == 0:  # a copy off the line may make the class two-dimensional
+        cells[draw(anywhere)] = MEMBER
+    sheets = [Sheet("S", {pos: cell for pos, cell in cells.items() if cell is not None})]
+    if draw(st.integers(0, 3)) == 0:  # copies on a second sheet put the class on two sheets
+        sheets.append(Sheet("T", {(2, row): MEMBER for row in range(1, draw(st.integers(1, 3)) + 1)}))
+    return Workbook(sheets=sheets)
+
+
+class TestCopyClassHoleIndex:
+    """The rule reads a run's stored cells from the column index, not by
+    probing every position the run spans."""
+
+    def test_sparse_run_reads_only_stored_cells(self, monkeypatch):
+        cells = {f"B{r}": f"=A{r}*100" for r in (1, 2, 3, 4, 1048576)}
+        cells["B500000"] = 42
+        cells["B600000"] = ("=A1+A2", 0)
+        wb = make_workbook({"S": cells})
+        classes = copy_classes(wb)
+
+        def probe(self, address):
+            raise AssertionError(f"probed {address}")
+
+        monkeypatch.setattr(Workbook, "cell", probe)
+        findings = check_copy_class_holes(wb, classes, RuleConfig(min_copy_class_for_hole=5))
+        assert [f.locations for f in findings] == [(addr("S", "B500000"),)]
+
+    @settings(
+        max_examples=fuzz_examples(200), deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(hole_workbooks(), st.integers(1, 5))
+    def test_matches_the_probing_oracle(self, wb, threshold):
+        cfg = RuleConfig(min_copy_class_for_hole=threshold)
+        classes = copy_classes(wb)
+        assert check_copy_class_holes(wb, classes, cfg) == probed_holes(wb, classes, cfg)
 
 
 class TestLookupHotspotRule:
