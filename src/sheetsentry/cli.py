@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # A one-shot process whose pipeline allocates no reference cycles
     # (pinned by tests/test_collector.py::TestNoCyclicGarbage): automatic
-    # collection would only rescan the live ASTs and graph, so pause it.
+    # collection would only rescan the live formula cells and graph, so pause it.
     collecting = gc.isenabled()
     gc.disable()
     try:

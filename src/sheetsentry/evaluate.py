@@ -15,9 +15,18 @@ other workbooks, cells and ranges alike, cannot be resolved from a single
 file and evaluate to ``#REF!``; cells whose recomputed value is that
 ``#REF!`` are excluded from staleness entries and reported separately.
 
+Formulas are not interpreted node by node. Each template (see
+:class:`sheetsentry.formula.Template`) compiles once per engine into a
+tree of closures, and each formula cell runs its template's closures on
+its own hole values; no per-cell AST is read. The tree-walking interpreter
+this replaced is kept in the tests as the oracle the compiled evaluators
+must agree with.
+
 Which stored cells a reference reads is decided in one place, which the
 dependency graph asks too: :meth:`Workbook.resolve` names the sheet (or
-another workbook, or none), and :meth:`Sheet.column_slices` finds a range's
+another workbook, or none; an unqualified reference reads the sheet that
+holds the formula, so its evaluator reads that sheet without asking), and
+:meth:`Sheet.column_slices` finds a range's
 cells in the sheet's column index, built once per sheet on first use. A
 range read therefore costs what it returns, not the area it covers: it
 visits only the columns inside it and bisects each one's sorted rows. An
@@ -34,18 +43,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from operator import itemgetter
+from typing import Callable
 
 from .formula import (
     Binary,
     BoolLit,
     Call,
     FormulaAst,
+    Formulas,
     NumberLit,
     Range,
     RangeRef,
     Ref,
     Reference,
+    Template,
     TextLit,
     Unary,
     parse_all_formulas,
@@ -73,6 +86,7 @@ _CIRC = CellValue.error("#CIRC!")
 
 _TRUE = CellValue.boolean(True)
 _FALSE = CellValue.boolean(False)
+_ERROR = ValueKind.ERROR
 
 # mixed kinds order as number < text < boolean
 _KIND_RANK = {ValueKind.NUMBER: 0, ValueKind.TEXT: 1, ValueKind.BOOLEAN: 2}
@@ -153,7 +167,7 @@ class Engine:
         self,
         wb: Workbook,
         graph: DepGraph | None = None,
-        asts: dict[CellAddress, FormulaAst] | None = None,
+        asts: Formulas | None = None,
     ) -> None:
         self.wb = wb
         self.asts = asts if asts is not None else parse_all_formulas(wb)
@@ -161,6 +175,8 @@ class Engine:
         self.values: dict[CellAddress, CellValue] = {}
         self.tainted: set[CellAddress] = set()
         self._lookups: dict[tuple[str, int, int, int], _LookupIndex] = {}
+        # one evaluator per template, compiled on first use
+        self._compiled: dict[Template, Evaluator] = {}
         self._current_tainted = False
         self._ran = False
 
@@ -178,16 +194,18 @@ class Engine:
         """
         if self._ran:
             return
+        cells = self.asts.cells
+        sheets = {sheet.name: sheet for sheet in self.wb.sheets}
         order, in_cycle = schedule(self.graph.formulas)
         for node in in_cycle:
-            if node in self.asts:
+            if node in cells:
                 self.values[node] = _CIRC
         linked = in_cycle.union(order)
-        for node in [addr for addr in self.asts if addr not in linked] + order:
-            ast = self.asts.get(node)
-            if ast is not None:
+        for node in [addr for addr in cells if addr not in linked] + order:
+            cell = cells.get(node)
+            if cell is not None:
                 self._current_tainted = False
-                val = self._eval(ast, node.sheet)
+                val = self._evaluate(cell, sheets[node.sheet])
                 if val.kind is ValueKind.NUMBER and not math.isfinite(val.value):
                     # a NaN or infinite input, which only a Workbook built in
                     # memory can hold, read through a reference unchanged
@@ -198,6 +216,13 @@ class Engine:
                 if self._current_tainted:
                     self.tainted.add(node)
         self._ran = True
+
+    def _evaluate(self, cell: tuple, sheet: Sheet) -> CellValue:
+        """The value of formula cell ``cell`` (see :class:`Template`) held on ``sheet``."""
+        evaluator = self._compiled.get(cell[0])
+        if evaluator is None:
+            evaluator = self._compiled[cell[0]] = compile_template(cell[0])
+        return evaluator(self, cell, sheet)
 
     # -- cell/range resolution
 
@@ -264,278 +289,7 @@ class Engine:
         merged.sort(key=itemgetter(0))
         return [val for _, val in merged]
 
-    # -- AST evaluation
-
-    def _eval(self, node: FormulaAst, sheet: str) -> CellValue:
-        if isinstance(node, NumberLit):
-            return _finite(node.value)
-        if isinstance(node, TextLit):
-            return CellValue.text(node.value)
-        if isinstance(node, BoolLit):
-            return _TRUE if node.value else _FALSE
-        if isinstance(node, Ref):
-            return self._eval_ref(node.ref, sheet)
-        if isinstance(node, Range):
-            # a bare range is not a scalar
-            return _VALUE_ERR
-        if isinstance(node, Unary):
-            return self._eval_unary(node, sheet)
-        if isinstance(node, Binary):
-            return self._eval_binary(node, sheet)
-        if isinstance(node, Call):
-            return self._eval_call(node, sheet)
-        raise TypeError(f"not a formula node: {node!r}")
-
-    def _eval_ref(self, ref: Reference, sheet: str) -> CellValue:
-        found = self._sheet(ref, sheet)
-        if found is None:
-            return _REF_ERR
-        return self._cell_value(found, ref.col, ref.row)
-
-    def _eval_unary(self, node: Unary, sheet: str) -> CellValue:
-        val = self._eval(node.operand, sheet)
-        if val.is_error():
-            return val
-        if node.op == "+":
-            return val
-        num = _to_number(val)
-        if num is None:
-            return _VALUE_ERR
-        return _finite(-num)
-
-    def _eval_binary(self, node: Binary, sheet: str) -> CellValue:
-        left = self._eval(node.left, sheet)
-        if left.is_error():
-            return left
-        right = self._eval(node.right, sheet)
-        if right.is_error():
-            return right
-        op = node.op
-        if op == "&":
-            return CellValue.text(_to_text(left) + _to_text(right))
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return self._compare(op, left, right)
-        a = _to_number(left)
-        b = _to_number(right)
-        if a is None or b is None:
-            return _VALUE_ERR
-        if op == "+":
-            return _finite(a + b)
-        if op == "-":
-            return _finite(a - b)
-        if op == "*":
-            return _finite(a * b)
-        if op == "/":
-            if b == 0:
-                return _DIV0
-            return _finite(a / b)
-        if op == "^":
-            if a == 0 and b < 0:
-                return _DIV0
-            try:
-                return _finite(math.pow(a, b))
-            except (ValueError, OverflowError):
-                return _VALUE_ERR
-        raise ValueError(f"unknown operator {op!r}")
-
-    @staticmethod
-    def _compare(op: str, left: CellValue, right: CellValue) -> CellValue:
-        if left.kind is ValueKind.BLANK and right.kind is ValueKind.BLANK:
-            order = 0
-        else:
-            if left.kind is ValueKind.BLANK:
-                left = _blank_as(right.kind)
-            elif right.kind is ValueKind.BLANK:
-                right = _blank_as(left.kind)
-            if left.kind is right.kind:
-                if left.kind is ValueKind.TEXT:
-                    a, b = left.value.casefold(), right.value.casefold()
-                else:
-                    a, b = left.value, right.value
-                order = (a > b) - (a < b)
-            else:
-                a, b = _KIND_RANK[left.kind], _KIND_RANK[right.kind]
-                order = (a > b) - (a < b)
-        return _TRUE if order in _HOLDS_FOR[op] else _FALSE
-
-    # -- function calls
-
-    def _eval_call(self, node: Call, sheet: str) -> CellValue:
-        name = node.name
-        if name == "IF":
-            return self._fn_if(node.args, sheet)
-        if name in ("SUM", "AVERAGE", "MIN", "MAX", "COUNT"):
-            return self._fn_aggregate(name, node.args, sheet)
-        if name in ("AND", "OR"):
-            return self._fn_and_or(name, node.args, sheet)
-        if name == "NOT":
-            return self._fn_not(node.args, sheet)
-        if name == "ABS":
-            return self._fn_numeric1(abs, node.args, sheet)
-        if name == "ROUND":
-            return self._fn_round(node.args, sheet)
-        if name == "VLOOKUP":
-            return self._fn_vlookup(node.args, sheet)
-        return _NAME_ERR
-
-    def _fn_if(self, args, sheet: str) -> CellValue:
-        if len(args) not in (2, 3):
-            return _VALUE_ERR
-        cond = self._eval(args[0], sheet)
-        if cond.is_error():
-            return cond
-        flag = _to_bool(cond)
-        if flag is None:
-            return _VALUE_ERR
-        if flag:
-            return self._eval(args[1], sheet)
-        if len(args) == 3:
-            return self._eval(args[2], sheet)
-        return _FALSE
-
-    def _fn_aggregate(self, name: str, args, sheet: str) -> CellValue:
-        numbers: list[float] = []
-        count_only = name == "COUNT"
-        for arg in args:
-            if isinstance(arg, Range):
-                cells = self._iter_range_cells(arg.ref, sheet)
-                if cells is None:
-                    return _REF_ERR
-                for val in cells:
-                    kind = val.kind
-                    if kind is ValueKind.NUMBER:
-                        numbers.append(val.value)
-                    elif kind is ValueKind.ERROR and not count_only:
-                        return val
-            else:
-                val = self._eval(arg, sheet)
-                if val.is_error():
-                    if count_only:
-                        continue
-                    return val
-                if val.is_blank():
-                    continue
-                num = _to_number(val)
-                if num is None:
-                    if count_only:
-                        continue
-                    return _VALUE_ERR
-                numbers.append(num)
-        if name == "COUNT":
-            return CellValue.number(float(len(numbers)))
-        if name == "AVERAGE" and not numbers:
-            return _DIV0
-        if name in ("SUM", "AVERAGE"):
-            try:
-                total = math.fsum(numbers)
-            except (OverflowError, ValueError):  # ValueError: inf + -inf
-                return _VALUE_ERR
-            return _finite(total if name == "SUM" else total / len(numbers))
-        if not numbers:
-            return CellValue.number(0.0)
-        if any(map(math.isnan, numbers)):
-            # min and max would drop a NaN unless it comes first
-            return _VALUE_ERR
-        return _finite(min(numbers) if name == "MIN" else max(numbers))
-
-    def _fn_and_or(self, name: str, args, sheet: str) -> CellValue:
-        flags: list[bool] = []
-        for arg in args:
-            if isinstance(arg, Range):
-                cells = self._iter_range_cells(arg.ref, sheet)
-                if cells is None:
-                    return _REF_ERR
-                for val in cells:
-                    if val.is_error():
-                        return val
-                    if val.kind in (ValueKind.BOOLEAN, ValueKind.NUMBER):
-                        flags.append(bool(val.value))
-            else:
-                val = self._eval(arg, sheet)
-                if val.is_error():
-                    return val
-                if val.is_blank():
-                    continue
-                flag = _to_bool(val)
-                if flag is None:
-                    return _VALUE_ERR
-                flags.append(flag)
-        if not flags:
-            return _VALUE_ERR
-        result = all(flags) if name == "AND" else any(flags)
-        return _TRUE if result else _FALSE
-
-    def _fn_not(self, args, sheet: str) -> CellValue:
-        if len(args) != 1:
-            return _VALUE_ERR
-        val = self._eval(args[0], sheet)
-        if val.is_error():
-            return val
-        flag = _to_bool(val)
-        if flag is None:
-            return _VALUE_ERR
-        return _FALSE if flag else _TRUE
-
-    def _fn_numeric1(self, fn, args, sheet: str) -> CellValue:
-        if len(args) != 1:
-            return _VALUE_ERR
-        val = self._eval(args[0], sheet)
-        if val.is_error():
-            return val
-        num = _to_number(val)
-        if num is None:
-            return _VALUE_ERR
-        return _finite(fn(num))
-
-    def _fn_round(self, args, sheet: str) -> CellValue:
-        if len(args) != 2:
-            return _VALUE_ERR
-        val = self._eval(args[0], sheet)
-        if val.is_error():
-            return val
-        digits_val = self._eval(args[1], sheet)
-        if digits_val.is_error():
-            return digits_val
-        num = _to_number(val)
-        digits = _to_number(digits_val)
-        if num is None or digits is None:
-            return _VALUE_ERR
-        try:
-            return CellValue.number(_round_half_away(num, int(digits)))
-        except (OverflowError, ZeroDivisionError, ValueError):
-            return _VALUE_ERR
-
-    def _fn_vlookup(self, args, sheet: str) -> CellValue:
-        if len(args) not in (3, 4):
-            return _VALUE_ERR
-        key = self._eval(args[0], sheet)
-        if key.is_error():
-            return key
-        if not isinstance(args[1], Range):
-            return _VALUE_ERR
-        rng = args[1].ref
-        col_val = self._eval(args[2], sheet)
-        if col_val.is_error():
-            return col_val
-        col_num = _to_number(col_val)
-        # a NaN or infinite index is only possible in a Workbook built in memory
-        if col_num is None or not math.isfinite(col_num) or col_num < 1:
-            return _VALUE_ERR
-        offset = int(col_num) - 1
-        if rng.start.col + offset > rng.end.col:
-            return _REF_ERR
-        if len(args) == 4:
-            flag_val = self._eval(args[3], sheet)
-            if flag_val.is_error():
-                return flag_val
-            flag = _to_bool(flag_val)
-            if flag is None or flag:
-                # only exact-match mode is supported
-                return _VALUE_ERR
-        found = self._sheet(rng, sheet)
-        if found is None:
-            return _REF_ERR
-        return self._lookup_exact(key, found, rng, offset)
+    # -- lookups
 
     def _lookup_exact(self, key: CellValue, sheet: Sheet, rng: RangeRef, offset: int) -> CellValue:
         """Exact-match ``VLOOKUP`` from the range's lookup index.
@@ -626,7 +380,7 @@ def _to_number(val: CellValue) -> float | None:
 
 def _finite(x: float) -> CellValue:
     """A number result, or ``#VALUE!`` (as for ``^`` overflow) if it is NaN or infinite."""
-    return CellValue.number(x) if math.isfinite(x) else _VALUE_ERR
+    return CellValue(ValueKind.NUMBER, x) if math.isfinite(x) else _VALUE_ERR
 
 
 def _to_bool(val: CellValue) -> bool | None:
@@ -659,6 +413,384 @@ def _round_half_away(x: float, digits: int) -> float:
     factor = 10.0 ** digits
     scaled = x * factor
     return math.copysign(math.floor(abs(scaled) + 0.5), x) / factor
+
+
+def _compare(op: str, left: CellValue, right: CellValue) -> CellValue:
+    if left.kind is ValueKind.BLANK and right.kind is ValueKind.BLANK:
+        order = 0
+    else:
+        if left.kind is ValueKind.BLANK:
+            left = _blank_as(right.kind)
+        elif right.kind is ValueKind.BLANK:
+            right = _blank_as(left.kind)
+        if left.kind is right.kind:
+            if left.kind is ValueKind.TEXT:
+                a, b = left.value.casefold(), right.value.casefold()
+            else:
+                a, b = left.value, right.value
+            order = (a > b) - (a < b)
+        else:
+            a, b = _KIND_RANK[left.kind], _KIND_RANK[right.kind]
+            order = (a > b) - (a < b)
+    return _TRUE if order in _HOLDS_FOR[op] else _FALSE
+
+
+# --- compiled evaluation -------------------------------------------------------
+#
+# Each template compiles once into a tree of closures, one per node, that
+# take the engine, the formula cell (its template, then its values) and the
+# sheet that holds it. Whatever depends only on the shape -- operators,
+# functions, argument counts, constants, where each leaf's values sit -- is
+# decided here; an evaluation reads only the cell's values. Operands
+# evaluate in source order and the first error wins, as in a spreadsheet.
+# The closures never hold the engine, so an engine holding them makes no
+# reference cycle.
+
+Evaluator = Callable[["Engine", tuple, Sheet], CellValue]
+
+
+def compile_template(template: Template) -> Evaluator:
+    """The evaluator of every formula cell of ``template``."""
+    return _compile(template.ast, template)
+
+
+def _constant(value: CellValue) -> Evaluator:
+    def constant(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        return value
+    return constant
+
+
+# the shared evaluators of the constant results compiling gives most often, by value
+_ALWAYS = {val.value: _constant(val) for val in (_TRUE, _FALSE, _VALUE_ERR, _NAME_ERR)}
+
+
+def _compile(node: FormulaAst, template: Template) -> Evaluator:
+    kind = type(node)
+    if kind is Ref:
+        qual, at = node.ref, template.slots[id(node)][0]
+        if qual.sheet is None and qual.external is None:
+            return _local_ref(at)
+
+        def ref(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+            found = engine._sheet(qual, sheet.name)
+            if found is None:
+                return _REF_ERR
+            return engine._cell_value(found, cell[at], cell[at + 1])
+        return ref
+    if kind is NumberLit:
+        return _number(template.slots[id(node)][0])
+    if kind is Binary:
+        left, right = _compile(node.left, template), _compile(node.right, template)
+        apply = _BINARY[node.op]
+
+        def binary(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+            a = left(engine, cell, sheet)
+            if a.kind is _ERROR:
+                return a
+            b = right(engine, cell, sheet)
+            if b.kind is _ERROR:
+                return b
+            return apply(a, b)
+        return binary
+    if kind is Call:
+        compile_call = _CALLS.get(node.name)
+        return _ALWAYS["#NAME?"] if compile_call is None else compile_call(node, template)
+    if kind is TextLit:
+        return _constant(CellValue.text(node.value))
+    if kind is Unary:
+        operand = _compile(node.operand, template)
+        if node.op == "+":
+            return operand
+
+        def negate(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+            val = operand(engine, cell, sheet)
+            if val.kind is _ERROR:
+                return val
+            num = _to_number(val)
+            return _VALUE_ERR if num is None else _finite(-num)
+        return negate
+    if kind is BoolLit:
+        return _ALWAYS[node.value]
+    if kind is Range:
+        return _ALWAYS["#VALUE!"]  # a bare range is not a scalar
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+# A leaf's evaluator depends only on where its values sit in the cell, so
+# templates share them.
+
+@lru_cache(maxsize=1024)
+def _local_ref(at: int) -> Evaluator:
+    """The evaluator of an unqualified reference whose values sit at ``at``."""
+    def local(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        return engine._cell_value(sheet, cell[at], cell[at + 1])
+    return local
+
+
+@lru_cache(maxsize=1024)
+def _number(at: int) -> Evaluator:
+    """The evaluator of a number leaf whose value sits at ``at``."""
+    def number(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        return _finite(cell[at])
+    return number
+
+
+def _arithmetic(op: Callable[[float, float], CellValue]) -> Callable[[CellValue, CellValue], CellValue]:
+    def apply(left: CellValue, right: CellValue) -> CellValue:
+        a, b = _to_number(left), _to_number(right)
+        if a is None or b is None:
+            return _VALUE_ERR
+        return op(a, b)
+    return apply
+
+
+def _divide(a: float, b: float) -> CellValue:
+    return _DIV0 if b == 0 else _finite(a / b)
+
+
+def _power(a: float, b: float) -> CellValue:
+    if a == 0 and b < 0:
+        return _DIV0
+    try:
+        return _finite(math.pow(a, b))
+    except (ValueError, OverflowError):
+        return _VALUE_ERR
+
+
+# what each binary operator makes of two operands that are not errors
+_BINARY: dict[str, Callable[[CellValue, CellValue], CellValue]] = {
+    "&": lambda left, right: CellValue.text(_to_text(left) + _to_text(right)),
+    **{op: partial(_compare, op) for op in _HOLDS_FOR},
+    "+": _arithmetic(lambda a, b: _finite(a + b)),
+    "-": _arithmetic(lambda a, b: _finite(a - b)),
+    "*": _arithmetic(lambda a, b: _finite(a * b)),
+    "/": _arithmetic(_divide),
+    "^": _arithmetic(_power),
+}
+
+
+def _compile_args(node: Call, template: Template) -> list[tuple[Callable | None, Evaluator | None]]:
+    """Per argument, what an aggregate reads: ``(range, None)`` for a range
+    argument, where ``range(cell)`` is its :class:`RangeRef` in that cell,
+    else ``(None, evaluator)``."""
+    return [
+        (partial(_range_of, template, arg), None) if isinstance(arg, Range)
+        else (None, _compile(arg, template))
+        for arg in node.args
+    ]
+
+
+def _range_of(template: Template, node: Range, cell: tuple) -> RangeRef:
+    return template.reference(cell, node)
+
+
+def _compile_if(node: Call, template: Template) -> Evaluator:
+    args = node.args
+    if len(args) not in (2, 3):
+        return _ALWAYS["#VALUE!"]
+    cond, then = _compile(args[0], template), _compile(args[1], template)
+    other = _compile(args[2], template) if len(args) == 3 else _ALWAYS[False]
+
+    def if_(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        val = cond(engine, cell, sheet)
+        if val.kind is _ERROR:
+            return val
+        flag = _to_bool(val)
+        if flag is None:
+            return _VALUE_ERR
+        return (then if flag else other)(engine, cell, sheet)
+    return if_
+
+
+def _compile_aggregate(node: Call, template: Template) -> Evaluator:
+    name = node.name
+    count_only = name == "COUNT"
+    args = _compile_args(node, template)
+
+    def aggregate(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        numbers: list[float] = []
+        for rng, evaluator in args:
+            if rng is not None:
+                cells = engine._iter_range_cells(rng(cell), sheet.name)
+                if cells is None:
+                    return _REF_ERR
+                for val in cells:
+                    kind = val.kind
+                    if kind is ValueKind.NUMBER:
+                        numbers.append(val.value)
+                    elif kind is ValueKind.ERROR and not count_only:
+                        return val
+                continue
+            val = evaluator(engine, cell, sheet)
+            if val.kind is _ERROR:
+                if count_only:
+                    continue
+                return val
+            if val.is_blank():
+                continue
+            num = _to_number(val)
+            if num is None:
+                if count_only:
+                    continue
+                return _VALUE_ERR
+            numbers.append(num)
+        return _aggregate(name, numbers)
+    return aggregate
+
+
+def _aggregate(name: str, numbers: list[float]) -> CellValue:
+    if name == "COUNT":
+        return CellValue.number(float(len(numbers)))
+    if name == "AVERAGE" and not numbers:
+        return _DIV0
+    if name in ("SUM", "AVERAGE"):
+        try:
+            total = math.fsum(numbers)
+        except (OverflowError, ValueError):  # ValueError: inf + -inf
+            return _VALUE_ERR
+        return _finite(total if name == "SUM" else total / len(numbers))
+    if not numbers:
+        return CellValue.number(0.0)
+    if any(map(math.isnan, numbers)):
+        # min and max would drop a NaN unless it comes first
+        return _VALUE_ERR
+    return _finite(min(numbers) if name == "MIN" else max(numbers))
+
+
+def _compile_and_or(node: Call, template: Template) -> Evaluator:
+    combine = all if node.name == "AND" else any
+    args = _compile_args(node, template)
+
+    def and_or(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        flags: list[bool] = []
+        for rng, evaluator in args:
+            if rng is not None:
+                cells = engine._iter_range_cells(rng(cell), sheet.name)
+                if cells is None:
+                    return _REF_ERR
+                for val in cells:
+                    if val.kind is _ERROR:
+                        return val
+                    if val.kind in (ValueKind.BOOLEAN, ValueKind.NUMBER):
+                        flags.append(bool(val.value))
+                continue
+            val = evaluator(engine, cell, sheet)
+            if val.kind is _ERROR:
+                return val
+            if val.is_blank():
+                continue
+            flag = _to_bool(val)
+            if flag is None:
+                return _VALUE_ERR
+            flags.append(flag)
+        if not flags:
+            return _VALUE_ERR
+        return _TRUE if combine(flags) else _FALSE
+    return and_or
+
+
+def _compile_unary_call(apply: Callable[[CellValue], CellValue]) -> Callable[[Call, Template], Evaluator]:
+    """The compiler of a one-argument function that maps a non-error value."""
+    def compile_call(node: Call, template: Template) -> Evaluator:
+        if len(node.args) != 1:
+            return _ALWAYS["#VALUE!"]
+        arg = _compile(node.args[0], template)
+
+        def call(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+            val = arg(engine, cell, sheet)
+            return val if val.kind is _ERROR else apply(val)
+        return call
+    return compile_call
+
+
+def _not(val: CellValue) -> CellValue:
+    flag = _to_bool(val)
+    if flag is None:
+        return _VALUE_ERR
+    return _FALSE if flag else _TRUE
+
+
+def _abs(val: CellValue) -> CellValue:
+    num = _to_number(val)
+    return _VALUE_ERR if num is None else _finite(abs(num))
+
+
+def _compile_round(node: Call, template: Template) -> Evaluator:
+    if len(node.args) != 2:
+        return _ALWAYS["#VALUE!"]
+    value, digits = (_compile(arg, template) for arg in node.args)
+
+    def round_(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        val = value(engine, cell, sheet)
+        if val.kind is _ERROR:
+            return val
+        digits_val = digits(engine, cell, sheet)
+        if digits_val.kind is _ERROR:
+            return digits_val
+        num, places = _to_number(val), _to_number(digits_val)
+        if num is None or places is None:
+            return _VALUE_ERR
+        try:
+            return CellValue.number(_round_half_away(num, int(places)))
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return _VALUE_ERR
+    return round_
+
+
+def _compile_vlookup(node: Call, template: Template) -> Evaluator:
+    args = node.args
+    if len(args) not in (3, 4):
+        return _ALWAYS["#VALUE!"]
+    key_of = _compile(args[0], template)
+    if not isinstance(args[1], Range):
+        def not_a_table(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+            key = key_of(engine, cell, sheet)
+            return key if key.kind is _ERROR else _VALUE_ERR
+        return not_a_table
+    table = partial(_range_of, template, args[1])
+    index = _compile(args[2], template)
+    approximate = _compile(args[3], template) if len(args) == 4 else None
+
+    def vlookup(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        key = key_of(engine, cell, sheet)
+        if key.kind is _ERROR:
+            return key
+        rng = table(cell)
+        col_val = index(engine, cell, sheet)
+        if col_val.kind is _ERROR:
+            return col_val
+        col_num = _to_number(col_val)
+        # a NaN or infinite index is only possible in a Workbook built in memory
+        if col_num is None or not math.isfinite(col_num) or col_num < 1:
+            return _VALUE_ERR
+        offset = int(col_num) - 1
+        if rng.start.col + offset > rng.end.col:
+            return _REF_ERR
+        if approximate is not None:
+            flag_val = approximate(engine, cell, sheet)
+            if flag_val.kind is _ERROR:
+                return flag_val
+            flag = _to_bool(flag_val)
+            if flag is None or flag:
+                # only exact-match mode is supported
+                return _VALUE_ERR
+        found = engine._sheet(rng, sheet.name)
+        if found is None:
+            return _REF_ERR
+        return engine._lookup_exact(key, found, rng, offset)
+    return vlookup
+
+
+_CALLS: dict[str, Callable[[Call, Template], Evaluator]] = {
+    "IF": _compile_if,
+    **dict.fromkeys(("SUM", "AVERAGE", "MIN", "MAX", "COUNT"), _compile_aggregate),
+    "AND": _compile_and_or,
+    "OR": _compile_and_or,
+    "NOT": _compile_unary_call(_not),
+    "ABS": _compile_unary_call(_abs),
+    "ROUND": _compile_round,
+    "VLOOKUP": _compile_vlookup,
+}
 
 
 def recompute_workbook(wb: Workbook) -> dict[CellAddress, CellValue]:

@@ -12,16 +12,25 @@ multiplicative, ``^``, unary sign. All levels are left-associative except
 the serializer reads it to place parentheses.
 
 Parsing by shape. A workbook repeats a few formula shapes over many
-cells, so :func:`parse_formula` tokenizes and parses each shape once. One
-regex split cuts the text into its words; the shape key is the text with
-every number lexeme and every reference's column letters and row digits
-taken out. The key keeps everything else: operators, punctuation and
-whitespace, string literals, names, and each reference's ``$`` signs. A
-reference-shaped sheet name before ``!`` (``Q1!A1``) is a name there, as it
-is to the parser. A text whose shape is in the table gets a fresh copy of
-the shape's AST template, filled with its own numbers and references. Any
-other text is parsed in full, and its AST becomes the template of its
-shape. The result always equals a fresh parse:
+cells, so each shape is tokenized and parsed once and each cell keeps only
+what differs from its shape's. One regex split cuts the text into its
+words; the shape key is the text with every number lexeme and every
+reference's column letters and row digits taken out. The key keeps
+everything else: operators, punctuation and whitespace, string literals,
+names, and each reference's ``$`` signs. A reference-shaped sheet name
+before ``!`` (``Q1!A1``) is a name there, as it is to the parser.
+
+A shape's :class:`Template` is the AST of the first text of that shape
+plus where its holes are: the number leaves and the reference corners. A
+formula cell is the tuple of its template and then its hole values --
+numbers, columns and rows -- which is what :func:`parse_all_formulas`
+keeps per cell; no AST is built for it. Whatever depends only on the
+shape is worked out once per template by its readers: copy-class keys
+(:mod:`sheetsentry.normalize`), graph nodes (:mod:`sheetsentry.graph`),
+cost (:mod:`sheetsentry.metrics`) and evaluation
+(:mod:`sheetsentry.evaluate`). :meth:`Template.fill` builds a cell's AST
+on demand, as :func:`parse_formula` does, and the result always equals a
+fresh parse:
 
 - an error is never cached, so every ``ParseError`` comes from a full parse;
 - a text with a row past ``MAX_ROW`` is parsed in full, because the
@@ -29,9 +38,12 @@ shape. The result always equals a fresh parse:
 - a shape that uses a number or reference lexeme as a name (``[1]S!A1``,
   ``[A1]S!A1``) is never filled.
 
-The table is process-wide and holds at most ``_SHAPE_TABLE_SIZE`` shapes;
-past that, it is emptied and starts over. A formula deeper than ``MAX_DEPTH``
-nodes is a ``ParseError``, which also bounds the recursion of a fill.
+Such texts get a template of their own full parse that no other text
+shares. The table of shapes is process-wide and holds at most
+``_SHAPE_TABLE_SIZE`` of them; past that, it is emptied and starts over,
+which no cell notices, because each keeps its own template. A formula
+deeper than ``MAX_DEPTH`` nodes is a ``ParseError``, which also bounds the
+recursion of a fill and of a compiled evaluator.
 """
 
 from __future__ import annotations
@@ -39,8 +51,10 @@ from __future__ import annotations
 import math
 import re
 import threading
+from types import SimpleNamespace
 from dataclasses import dataclass
 from enum import Enum
+from collections.abc import Mapping
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import LexError, ParseError
@@ -65,6 +79,11 @@ class TokenKind(Enum):
     BANG = "bang"
     BRACKET = "bracket"
     EOF = "eof"
+
+
+# The kinds as plain attributes: the lexer and the parser compare kinds per
+# token, and looking a member up on the enum class costs ten times as much.
+_K = SimpleNamespace(**TokenKind.__members__)
 
 
 class Token(NamedTuple):
@@ -98,6 +117,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# the kind of every token group but "ref" and "ident", which depend on the lexeme
+_GROUP_KIND = {
+    group: TokenKind[group.upper()]
+    for group in _TOKEN_RE.groupindex
+    if group not in ("ws", "ref", "ident")
+}
+_REF_ROW_GROUP = _TOKEN_RE.groupindex["ref"] + 4  # the ref's row digits
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _REF_LEXEME_RE = re.compile(r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]*)\Z")
 
@@ -123,26 +149,23 @@ def tokenize(src: str) -> list[Token]:
                 raise LexError("unterminated quoted name", pos)
             raise LexError(f"illegal character {ch!r}", pos)
         group = m.lastgroup
-        lexeme = m.group()
+        end = m.end()
         if group == "ws":
-            pos = m.end()
+            pos = end
             continue
-        if group == "ref":
-            row = int(_REF_LEXEME_RE.match(lexeme).group(4))
-            if row > MAX_ROW and "$" not in lexeme:
+        lexeme = m.group()
+        kind = _GROUP_KIND.get(group)
+        if kind is None:
+            if group == "ref":
                 # out-of-range rows demote the candidate to a plain name
-                kind = TokenKind.IDENT
+                demoted = int(m.group(_REF_ROW_GROUP)) > MAX_ROW and "$" not in lexeme
+                kind = _K.IDENT if demoted else _K.REF
+            elif lexeme.upper() in ("TRUE", "FALSE"):
+                kind = _K.BOOLEAN
             else:
-                kind = TokenKind.REF
-        elif group == "ident":
-            if lexeme.upper() in ("TRUE", "FALSE"):
-                kind = TokenKind.BOOLEAN
-            else:
-                kind = TokenKind.IDENT
-        else:
-            kind = TokenKind[group.upper()]
+                kind = _K.IDENT
         tokens.append(Token(kind, lexeme, pos))
-        pos = m.end()
+        pos = end
     return tokens
 
 
@@ -267,7 +290,7 @@ MAX_DEPTH = 256
 """Deepest AST a formula may parse to, counted in nodes from root to leaf."""
 
 
-def parse_formula(src: str) -> FormulaAst:
+def parse_formula(src: str, *, holes: bool = False) -> FormulaAst | tuple:
     """Parse formula source (with leading ``=``) into an AST.
 
     Raises :class:`ParseError` carrying an offset into ``src`` and the set
@@ -276,22 +299,26 @@ def parse_formula(src: str) -> FormulaAst:
     call stack allows.
 
     Texts of one shape share a cached template (see "Parsing by shape" in
-    the module docstring); the result always equals a fresh parse.
+    the module docstring); the result always equals a fresh parse. With
+    ``holes=True`` no AST is built: the result is the text's formula cell,
+    its :class:`Template` followed by its hole values, which
+    :meth:`Template.fill` turns into that AST.
     """
     if not src.startswith("="):
         raise ParseError("formula must start with '='", 0, frozenset({"="}))
     parts, key = _shape(src)
     template = _SHAPES.get(key)
-    if template is not None:
-        try:
-            return _fill(template.ast, parts, iter(template.numbers), iter(template.refs))
-        except _RowOutOfRange:
-            pass  # this text demotes a reference or rejects it: parse it afresh
-    ast = _parse(src)
-    # a row past MAX_ROW was demoted to a name, which says nothing of the shape
-    if key not in _SHAPES and all(int(row) <= MAX_ROW for row in parts[6::_STRIDE] if row):
-        _store(key, _template(ast, parts))
-    return ast
+    cell = None if template is None else template.cell(parts)
+    if cell is None:
+        ast = _parse(src)
+        # a row past MAX_ROW was demoted to a name, which says nothing of the shape
+        if key not in _SHAPES and all(int(row) <= MAX_ROW for row in parts[6::_STRIDE] if row):
+            template = Template(ast, parts)
+            _store(key, template if template.numbers is not None else None)
+        else:
+            template = Template(ast)
+        cell = (template, *template.own)
+    return cell if holes else template.fill(cell)
 
 
 def _parse(src: str) -> FormulaAst:
@@ -327,7 +354,7 @@ def _depth(ast: FormulaAst) -> int:
 # ``_SHAPE_RE.split`` cuts a formula into the text between words and, per
 # word, seven groups: number, string, column ``$``, column letters, row
 # ``$``, row digits, name. The shape key is that list with the number
-# lexemes, column letters and row digits blanked out; a fill reads them
+# lexemes, column letters and row digits blanked out; a template reads them
 # back from the same list by index. A reference before ``!`` is split as a
 # name, because the parser reads it as a sheet name.
 
@@ -336,21 +363,117 @@ _STRIDE = 8  # one piece of text, then the seven groups of the word after it
 _SHAPE_TABLE_SIZE = 4096
 
 
-class _Template(NamedTuple):
-    """A shape's AST, and where each number lexeme and each reference's
-    first group sit in the split parts, in source order."""
+class Template:
+    """A formula shape: the AST of one text of that shape, and where its holes are.
 
-    ast: FormulaAst
-    numbers: tuple[int, ...]
-    refs: tuple[int, ...]
+    A formula cell of the shape is the tuple ``(template, *values)``: the
+    value of each number leaf, a float, then the column and row of each
+    reference corner, two ints, both in source order. A range's corners
+    stay as written, so its values are not ordered; :meth:`reference`
+    orders them as the parser does. ``slots`` maps each leaf of ``ast``
+    that takes values (by ``id``) to the index of its first value in the
+    cell and, for a reference, the ``$`` flags of its corners as written
+    (column, row per corner). ``refs`` lists the reference leaves in source
+    order, and ``own`` the values of the text ``ast`` came from.
+
+    ``numbers`` and ``corners`` locate the number lexemes and each corner's
+    first group in a text's split (see ``_SHAPE_RE``). Both are ``None``
+    when the template takes its values from ``ast`` alone; no other text
+    fills it.
+    """
+
+    __slots__ = ("ast", "numbers", "corners", "refs", "slots", "own")
+
+    def __init__(self, ast: FormulaAst, parts: list | None = None) -> None:
+        """The template of ``ast``, filled from the text split into ``parts``
+        when that text's lexemes are its leaves; a shape that uses a number
+        or reference lexeme as a name (``[1]S!A1``, ``[A1]S!A1``) is not."""
+        self.ast = ast
+        number_leaves = []
+        refs = []
+        written = []  # the reference corners, in source order
+        for node in walk(ast):
+            kind = type(node)
+            if kind is NumberLit:
+                number_leaves.append(node)
+            elif kind is Ref:
+                refs.append(node)
+                written.append(node.ref)
+            elif kind is Range:
+                refs.append(node)
+                written += (node.ref.start, node.ref.end)
+        self.refs = tuple(refs)
+        self.numbers = self.corners = None
+        if parts is not None:
+            numbers, corners = [], []
+            for i in range(1, len(parts), _STRIDE):
+                if parts[i] is not None:
+                    numbers.append(i)
+                elif parts[i + 2] is not None:  # a reference's column "$", if any
+                    corners.append(i + 2)
+            if len(numbers) == len(number_leaves) and len(corners) == len(written):
+                self.numbers, self.corners = tuple(numbers), tuple(corners)
+        if self.numbers is None:
+            flags = [(corner.abs_col, corner.abs_row) for corner in written]
+            own = [node.value for node in number_leaves]
+            for corner in written:
+                own += (corner.col, corner.row)
+        else:
+            flags = [(parts[i] == "$", parts[i + 2] == "$") for i in self.corners]
+            own = self.cell(parts)[1:]
+        self.own = tuple(own)
+        self.slots: dict[int, tuple[int, tuple[bool, ...]]] = {}
+        at = 1
+        for node in number_leaves:
+            self.slots[id(node)] = (at, ())
+            at += 1
+        corner = 0
+        for node in refs:
+            if type(node) is Ref:
+                self.slots[id(node)] = (at, flags[corner])
+                at += 2
+                corner += 1
+            else:
+                self.slots[id(node)] = (at, flags[corner] + flags[corner + 1])
+                at += 4
+                corner += 2
+
+    def cell(self, parts: list) -> tuple | None:
+        """The formula cell of the text split into ``parts``, or None when a
+        reference row is past ``MAX_ROW`` (the parser demotes or rejects it)."""
+        cell: list = [self]
+        for i in self.numbers:
+            cell.append(float(parts[i]))
+        for i in self.corners:
+            row = int(parts[i + 3])
+            if row > MAX_ROW:
+                return None
+            cell.append(letters_to_col(parts[i + 1].upper()))
+            cell.append(row)
+        return tuple(cell)
+
+    def fill(self, cell: tuple) -> FormulaAst:
+        """The AST of formula cell ``cell``: ``ast`` itself when the cell
+        holds ``own``, else a fresh copy holding the cell's values."""
+        if cell[1:] == self.own:
+            return self.ast
+        return _fill(self.ast, cell, self)
+
+    def reference(self, cell: tuple, node: Ref | Range) -> Reference | RangeRef:
+        """What reference leaf ``node`` of ``ast`` reads in formula cell ``cell``."""
+        at, flags = self.slots[id(node)]
+        if isinstance(node, Ref):
+            qual = node.ref
+            return Reference(cell[at], cell[at + 1], *flags, qual.sheet, qual.external)
+        qual = node.ref.start
+        return make_range(
+            Reference(cell[at], cell[at + 1], flags[0], flags[1], qual.sheet, qual.external),
+            Reference(cell[at + 2], cell[at + 3], flags[2], flags[3], qual.sheet, qual.external),
+        )
 
 
-_SHAPES: dict[tuple, _Template | None] = {}
+_SHAPES: dict[tuple, Template | None] = {}
 _SHAPES_WRITE = threading.Lock()  # readers need none: one dict lookup is atomic
-
-
-class _RowOutOfRange(Exception):
-    """A reference hole's row is past ``MAX_ROW``."""
 
 
 def _shape(src: str) -> tuple[list, tuple]:
@@ -362,7 +485,7 @@ def _shape(src: str) -> tuple[list, tuple]:
     return parts, tuple(masked)
 
 
-def _store(key: tuple, template: _Template | None) -> None:
+def _store(key: tuple, template: Template | None) -> None:
     """Set the table entry of one shape, keeping the table within its bound."""
     with _SHAPES_WRITE:
         if key not in _SHAPES and len(_SHAPES) >= _SHAPE_TABLE_SIZE:
@@ -371,76 +494,67 @@ def _store(key: tuple, template: _Template | None) -> None:
         _SHAPES[key] = template
 
 
-def _template(ast: FormulaAst, parts: list) -> _Template | None:
-    """The template of the shape that ``parts`` split into and ``ast`` parsed
-    to, or None when the shape uses a number or reference lexeme as a name
-    (``[1]S!A1``, ``[A1]S!A1``), which leaves a hole without a leaf."""
-    numbers = tuple(i for i in range(1, len(parts), _STRIDE) if parts[i] is not None)
-    refs = tuple(i for i in range(3, len(parts), _STRIDE) if parts[i] is not None)
-    number_leaves = ref_leaves = 0
-    for node in walk(ast):
-        if isinstance(node, NumberLit):
-            number_leaves += 1
-        elif isinstance(node, Ref):
-            ref_leaves += 1
-        elif isinstance(node, Range):
-            ref_leaves += 2
-    if number_leaves != len(numbers) or ref_leaves != len(refs):
-        return None
-    return _Template(ast, numbers, refs)
-
-
-def _fill(
-    node: FormulaAst, parts: list, numbers: Iterator[int], refs: Iterator[int]
-) -> FormulaAst:
-    """A fresh copy of template ``node`` holding the numbers and references
-    of the text split into ``parts``; leaves take the holes in source order."""
+def _fill(node: FormulaAst, cell: tuple, template: Template) -> FormulaAst:
+    """A fresh copy of ``template``'s node ``node`` holding the values of ``cell``."""
     if isinstance(node, Binary):
-        left = _fill(node.left, parts, numbers, refs)
-        return Binary(node.op, left, _fill(node.right, parts, numbers, refs))
+        left = _fill(node.left, cell, template)
+        return Binary(node.op, left, _fill(node.right, cell, template))
     if isinstance(node, Ref):
-        return Ref(_reference(parts, next(refs), node.ref))
+        return Ref(template.reference(cell, node))
     if isinstance(node, NumberLit):
-        return NumberLit(float(parts[next(numbers)]))
+        return NumberLit(cell[template.slots[id(node)][0]])
     if isinstance(node, Call) and node.args:
-        return Call(node.name, tuple([_fill(arg, parts, numbers, refs) for arg in node.args]))
+        return Call(node.name, tuple([_fill(arg, cell, template) for arg in node.args]))
     if isinstance(node, Unary):
-        return Unary(node.op, _fill(node.operand, parts, numbers, refs))
+        return Unary(node.op, _fill(node.operand, cell, template))
     if isinstance(node, Range):
-        qual = node.ref.start
-        start = _reference(parts, next(refs), qual)
-        return Range(make_range(start, _reference(parts, next(refs), qual)))
-    return node  # no holes below: text, boolean, bare name
+        return Range(template.reference(cell, node))
+    return node  # no values below: text, boolean, bare name
 
 
-def _reference(parts: list, at: int, qual: Reference) -> Reference:
-    """The reference whose four groups start at ``parts[at]``, qualified as ``qual``."""
-    row = int(parts[at + 3])
-    if row > MAX_ROW:
-        raise _RowOutOfRange
-    return Reference(
-        letters_to_col(parts[at + 1].upper()),
-        row,
-        parts[at] == "$",
-        parts[at + 2] == "$",
-        qual.sheet,
-        qual.external,
-    )
+class Formulas(Mapping[CellAddress, FormulaAst]):
+    """The formula cells of one workbook, as :func:`parse_all_formulas` read them.
+
+    ``cells`` maps each address to its formula cell, a :class:`Template`
+    followed by its hole values. As a mapping it gives each address's AST,
+    filled on first use and then kept, so only the ASTs something reads
+    are built.
+    """
+
+    def __init__(self, cells: dict[CellAddress, tuple]) -> None:
+        self.cells = cells
+        self._asts: dict[CellAddress, FormulaAst] = {}
+
+    def __getitem__(self, addr: CellAddress) -> FormulaAst:
+        ast = self._asts.get(addr)
+        if ast is None:
+            cell = self.cells[addr]
+            ast = self._asts[addr] = cell[0].fill(cell)
+        return ast
+
+    def __contains__(self, addr: object) -> bool:
+        return addr in self.cells
+
+    def __iter__(self) -> Iterator[CellAddress]:
+        return iter(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
 
 
-def parse_all_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
+def parse_all_formulas(wb: Workbook) -> Formulas:
     """Parse every formula cell once; raises ParseError naming the cell."""
-    asts: dict[CellAddress, FormulaAst] = {}
+    cells: dict[CellAddress, tuple] = {}
     for addr, cell in wb.iter_cells():
         if cell.formula is None:
             continue
         try:
-            asts[addr] = parse_formula(cell.formula)
+            cells[addr] = parse_formula(cell.formula, holes=True)
         except ParseError as exc:
             raise ParseError(
                 f"{addr.qualified()}: {exc.message}", exc.offset, exc.expected
             ) from exc
-    return asts
+    return Formulas(cells)
 
 
 class _Parser:
@@ -448,16 +562,15 @@ class _Parser:
 
     def __init__(self, tokens: list[Token]) -> None:
         end = tokens[-1].offset + len(tokens[-1].lexeme) if tokens else 0
-        self.tokens = tokens + [Token(TokenKind.EOF, "", end)]
+        eof = Token(_K.EOF, "", end)
+        self.tokens = tokens + [eof, eof]  # a look one past the end reads EOF too
         self.pos = 0
         self.attempted: list[str] = []
 
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        last = len(self.tokens) - 1
-        return self.tokens[i if i < last else last]
+        return self.tokens[self.pos + ahead]
 
     def consume(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
         tok = self.peek()
@@ -477,7 +590,7 @@ class _Parser:
     def fail(self) -> None:
         tok = self.peek()
         expected = frozenset(self.attempted)
-        got = "end of formula" if tok.kind is TokenKind.EOF else repr(tok.lexeme)
+        got = "end of formula" if tok.kind is _K.EOF else repr(tok.lexeme)
         wanted = ", ".join(sorted(expected)) or "a token"
         raise ParseError(f"expected one of: {wanted}; got {got}", tok.offset + 1, expected)
 
@@ -485,7 +598,7 @@ class _Parser:
 
     def parse(self) -> FormulaAst:
         ast = self.expression()
-        if self.tokens[self.pos].kind is not TokenKind.EOF:
+        if self.tokens[self.pos].kind is not _K.EOF:
             self.attempted.append("an operator")
             self.attempted.append("end of formula")
             self.fail()
@@ -507,31 +620,31 @@ class _Parser:
 
     def unary(self) -> FormulaAst:
         tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.OP and (tok.lexeme == "-" or tok.lexeme == "+"):
+        if tok.kind is _K.OP and (tok.lexeme == "-" or tok.lexeme == "+"):
             self.pos += 1
             return Unary(tok.lexeme, self.unary())
         return self.atom()
 
     def atom(self) -> FormulaAst:
         tok = self.peek()
-        if tok.kind is TokenKind.NUMBER:
+        if tok.kind is _K.NUMBER:
             self.pos += 1
             self.attempted = []
             return NumberLit(float(tok.lexeme))
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is _K.STRING:
             self.pos += 1
             self.attempted = []
             return TextLit(tok.lexeme[1:-1].replace('""', '"'))
-        if tok.kind is TokenKind.BOOLEAN:
+        if tok.kind is _K.BOOLEAN:
             self.pos += 1
             self.attempted = []
             return BoolLit(tok.lexeme.upper() == "TRUE")
-        if tok.kind is TokenKind.BRACKET and tok.lexeme == "[":
+        if tok.kind is _K.BRACKET and tok.lexeme == "[":
             return self.external_reference()
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is _K.IDENT:
             return self.ident_atom()
-        if tok.kind is TokenKind.REF:
-            if self.peek(1).kind is TokenKind.BANG:
+        if tok.kind is _K.REF:
+            if self.peek(1).kind is _K.BANG:
                 # a ref-shaped lexeme before '!' is really a sheet name, e.g. S1!A1
                 self.pos += 1
                 self.attempted = []
@@ -541,22 +654,22 @@ class _Parser:
                         tok.offset + 1,
                         frozenset({"ref"}),
                     )
-                self.expect(TokenKind.BANG)
+                self.expect(_K.BANG)
                 return self.reference_tail(sheet=tok.lexeme, external=None)
             return self.reference_tail(sheet=None, external=None)
-        if self.consume(TokenKind.LPAREN):
+        if self.consume(_K.LPAREN):
             node = self.expression()
-            self.expect(TokenKind.RPAREN)
+            self.expect(_K.RPAREN)
             return node
         for kind in ("number", "string", "boolean", "ident", "ref", "lparen"):
             self.attempted.append(kind)
         self.fail()
 
     def ident_atom(self) -> FormulaAst:
-        tok = self.expect(TokenKind.IDENT)
+        tok = self.expect(_K.IDENT)
         if tok.lexeme.startswith("'"):
             inner = tok.lexeme[1:-1]
-            self.expect(TokenKind.BANG)
+            self.expect(_K.BANG)
             if inner.startswith("["):
                 close = inner.find("]")
                 if close <= 1 or close == len(inner) - 1:
@@ -569,43 +682,43 @@ class _Parser:
             if not inner:
                 raise ParseError("empty sheet name", tok.offset + 1, frozenset({"ident"}))
             return self.reference_tail(sheet=inner, external=None)
-        if self.peek().kind is TokenKind.BANG:
+        if self.peek().kind is _K.BANG:
             self.pos += 1
             self.attempted = []
             return self.reference_tail(sheet=tok.lexeme, external=None)
-        if self.consume(TokenKind.LPAREN):
+        if self.consume(_K.LPAREN):
             args: list[FormulaAst] = []
-            if not self.consume(TokenKind.RPAREN):
+            if not self.consume(_K.RPAREN):
                 args.append(self.expression())
-                while self.consume(TokenKind.COMMA):
+                while self.consume(_K.COMMA):
                     args.append(self.expression())
-                self.expect(TokenKind.RPAREN)
+                self.expect(_K.RPAREN)
             return Call(tok.lexeme.upper(), tuple(args))
         # bare unknown name (named ranges are out of scope): zero-argument call
         return Call(tok.lexeme.upper(), ())
 
     def external_reference(self) -> FormulaAst:
-        self.expect(TokenKind.BRACKET, "[")
+        self.expect(_K.BRACKET, "[")
         wb = self.peek()
-        if wb.kind not in (TokenKind.IDENT, TokenKind.REF, TokenKind.NUMBER) or wb.lexeme.startswith("'"):
+        if wb.kind not in (_K.IDENT, _K.REF, _K.NUMBER) or wb.lexeme.startswith("'"):
             self.attempted.append("ident")
             self.fail()
         wb_name = wb.lexeme
         self.pos += 1
         self.attempted = []
-        self.expect(TokenKind.BRACKET, "]")
+        self.expect(_K.BRACKET, "]")
         sheet_tok = self.peek()
-        if sheet_tok.kind in (TokenKind.IDENT, TokenKind.REF) and not sheet_tok.lexeme.startswith("'"):
+        if sheet_tok.kind in (_K.IDENT, _K.REF) and not sheet_tok.lexeme.startswith("'"):
             self.pos += 1
             self.attempted = []
-            self.expect(TokenKind.BANG)
+            self.expect(_K.BANG)
             return self.reference_tail(sheet=sheet_tok.lexeme, external=wb_name)
         self.attempted.extend(["ident", "ref"])
         self.fail()
 
     def reference_tail(self, sheet: str | None, external: str | None) -> FormulaAst:
         start = self.single_reference(sheet, external)
-        if self.peek().kind is TokenKind.COLON and self.peek(1).kind is TokenKind.REF:
+        if self.peek().kind is _K.COLON and self.peek(1).kind is _K.REF:
             self.pos += 1
             self.attempted = []
             end = self.single_reference(sheet, external)
@@ -613,7 +726,7 @@ class _Parser:
         return Ref(start)
 
     def single_reference(self, sheet: str | None, external: str | None) -> Reference:
-        tok = self.expect(TokenKind.REF)
+        tok = self.expect(_K.REF)
         m = _REF_LEXEME_RE.match(tok.lexeme)
         col = letters_to_col(m.group(2).upper())
         row = int(m.group(4))

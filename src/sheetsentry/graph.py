@@ -43,9 +43,10 @@ from typing import Iterator, Union
 
 from .errors import UnknownNodeError
 from .formula import (
-    FormulaAst,
+    Formulas,
     RangeRef,
-    collect_references,
+    Ref,
+    Template,
     parse_all_formulas,
     render_a1,
 )
@@ -214,37 +215,56 @@ class DepGraph:
         return seen
 
 
-def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None) -> DepGraph:
+def build_graph(wb: Workbook, asts: Formulas | None = None) -> DepGraph:
     """Build the dependency graph for a workbook.
 
     ``asts`` is :func:`parse_all_formulas` output for ``wb``; without it the
     workbook is parsed here, which raises :class:`ParseError` naming the
-    cell. One walk over the references resolves their sheets and collects
-    the external links; ranges stay one :class:`RangeNode` each until a
-    query needs the cell-level view.
+    cell. The references of a template are resolved once per sheet it is
+    used on; each cell then reads its nodes from its own values and
+    collects its external links. Ranges stay one :class:`RangeNode` each
+    until a query needs the cell-level view.
     """
     if asts is None:
         asts = parse_all_formulas(wb)
     refs: dict[CellAddress, list[Node]] = {}
     external_links: list[ExternalLink] = []
-    for addr, ast in asts.items():
+    plans: dict[tuple[Template, str], list] = {}
+    for addr, cell in asts.cells.items():
+        template = cell[0]
+        plan = plans.get((template, addr.sheet))
+        if plan is None:
+            plan = plans[(template, addr.sheet)] = _resolve(wb, template, addr.sheet)
         reads: list[Node] = []
-        for ref in collect_references(ast):
-            found = wb.resolve(ref, addr.sheet)
-            if isinstance(found, str):
+        for node, at, sheet, book in plan:
+            if book is not None:
+                ref = template.reference(cell, node)
                 corners = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)
                 local = [replace(corner, sheet=None, external=None) for corner in corners]
                 target = ":".join(map(render_a1, local))
-                external_links.append(ExternalLink(addr, found, corners[0].sheet or "", target))
-            elif found is None:
-                continue
-            elif isinstance(ref, RangeRef):
-                reads.append(RangeNode(found.name, ref.start.col, ref.start.row,
-                                       ref.end.col, ref.end.row))
+                external_links.append(ExternalLink(addr, book, corners[0].sheet or "", target))
+            elif type(node) is Ref:
+                reads.append(CellAddress(sheet, cell[at], cell[at + 1]))
             else:
-                reads.append(CellAddress(found.name, ref.col, ref.row))
+                c1, r1, c2, r2 = cell[at:at + 4]
+                reads.append(RangeNode(sheet, min(c1, c2), min(r1, r2), max(c1, c2), max(r1, r2)))
         refs[addr] = reads
     return DepGraph(refs, external_links, wb)
+
+
+def _resolve(wb: Workbook, template: Template, origin_sheet: str) -> list:
+    """Per reference of ``template`` on ``origin_sheet``, in source order:
+    the leaf, the index of its first value, and the stored sheet's name or
+    the other workbook's name. References to missing sheets are left out."""
+    plan = []
+    for node in template.refs:
+        found = wb.resolve(node.ref, origin_sheet)
+        at = template.slots[id(node)][0]
+        if isinstance(found, str):
+            plan.append((node, at, None, found))
+        elif found is not None:
+            plan.append((node, at, found.name, None))
+    return plan
 
 
 def _expand(refs: dict[CellAddress, list[Node]], wb: Workbook) -> dict[Node, list[Node]]:

@@ -1,10 +1,12 @@
 """The workbook analysis and its quantitative measures.
 
 :class:`Analysis` holds every derived fact about one workbook -- formula
-ASTs, copy classes, dependency graph, staleness report, script metrics --
+cells, copy classes, dependency graph, staleness report, script metrics --
 and builds each at most once, on first use. Metrics and rules both read
 from it, so one audit parses each formula once and recomputes values only
-if something asks for staleness.
+if something asks for staleness. A formula cell is held as its shape's
+template plus its hole values, and its AST is filled only when something
+reads it: the rules read one per copy class.
 
 The headline number is the chance that a workbook contains at least one
 formula error: with an error rate ``p`` per unique formula and ``n``
@@ -23,10 +25,20 @@ from functools import cached_property
 
 from .errors import DomainError
 from .evaluate import Engine, StalenessReport, staleness_report
-from .formula import Binary, Call, FormulaAst, Range, Unary, parse_all_formulas, walk
+from .formula import (
+    Binary,
+    Call,
+    FormulaAst,
+    Formulas,
+    Range,
+    Template,
+    Unary,
+    parse_all_formulas,
+    walk,
+)
 from .graph import DepGraph, build_graph
 from .normalize import CopyClass, copy_classes
-from .workbook import CellAddress, ScriptModule, Workbook
+from .workbook import ScriptModule, Workbook
 
 DEFAULT_ERROR_RATE = 0.01
 
@@ -78,44 +90,45 @@ def branch_count(ast: FormulaAst) -> int:
 # Cost model: recalculating a cell costs 1 plus its formula's node costs.
 # Aggregates charge the size of each range argument, lookups charge the
 # table's row count (a linear scan), other calls charge 1 plus their
-# argument count, and every operator application charges 1.
+# argument count, and every operator application charges 1. The range
+# sizes are the only part that differs between cells of one template.
 _AGGREGATES = ("SUM", "COUNT", "AVERAGE", "MIN", "MAX")
 
 
-def _range_cells(rng) -> int:
-    return (rng.end.col - rng.start.col + 1) * (rng.end.row - rng.start.row + 1)
-
-
-def _range_rows(rng) -> int:
-    return rng.end.row - rng.start.row + 1
-
-
-def _node_cost(node: FormulaAst) -> int:
+def _node_cost(node: FormulaAst, ranges: list[tuple[Range, bool]]) -> int:
+    """The cost of ``node`` but for the range sizes it charges, which are
+    appended to ``ranges`` as (range leaf, charged by rows only)."""
     if isinstance(node, Unary):
-        return 1 + _node_cost(node.operand)
+        return 1 + _node_cost(node.operand, ranges)
     if isinstance(node, Binary):
-        return 1 + _node_cost(node.left) + _node_cost(node.right)
+        return 1 + _node_cost(node.left, ranges) + _node_cost(node.right, ranges)
     if isinstance(node, Call):
         if node.name in _AGGREGATES:
             total = 0
             for arg in node.args:
                 if isinstance(arg, Range):
-                    total += _range_cells(arg.ref)
+                    ranges.append((arg, False))
                 else:
-                    total += 1 + _node_cost(arg)
+                    total += 1 + _node_cost(arg, ranges)
             return total
         if node.name == "VLOOKUP":
             total = 0
+            charged = False
             for i, arg in enumerate(node.args):
-                if i == 1 and isinstance(arg, Range):
-                    total += _range_rows(arg.ref)
-                elif isinstance(arg, Range):
-                    total += _range_cells(arg.ref)
+                if isinstance(arg, Range):
+                    ranges.append((arg, i == 1))
+                    charged = True
                 else:
-                    total += _node_cost(arg)
-            return max(total, 1)
-        return 1 + len(node.args) + sum(_node_cost(a) for a in node.args)
+                    total += _node_cost(arg, ranges)
+            # a range charges at least 1, so only a lookup without one needs the floor
+            return total if charged else max(total, 1)
+        return 1 + len(node.args) + sum(_node_cost(a, ranges) for a in node.args)
     return 0
+
+
+def _size(c1: int, r1: int, c2: int, r2: int, rows_only: bool) -> int:
+    rows = abs(r2 - r1) + 1
+    return rows if rows_only else rows * (abs(c2 - c1) + 1)
 
 
 def formula_cost(ast: FormulaAst) -> int:
@@ -123,7 +136,34 @@ def formula_cost(ast: FormulaAst) -> int:
 
     A workbook's total is :attr:`WorkbookMetrics.cost_estimate`.
     """
-    return 1 + _node_cost(ast)
+    ranges: list[tuple[Range, bool]] = []
+    base = 1 + _node_cost(ast, ranges)
+    return base + sum(
+        _size(rng.ref.start.col, rng.ref.start.row, rng.ref.end.col, rng.ref.end.row, rows_only)
+        for rng, rows_only in ranges
+    )
+
+
+def _total_cost(formulas: Formulas) -> int:
+    """The summed :func:`formula_cost` of every formula cell, read per cell
+    from its template's cost and its own range corners."""
+    plans: dict[Template, tuple[int, list[tuple[int, bool]]]] = {}
+    total = 0
+    for cell in formulas.cells.values():
+        plan = plans.get(cell[0])
+        if plan is None:
+            template = cell[0]
+            ranges: list[tuple[Range, bool]] = []
+            base = 1 + _node_cost(template.ast, ranges)
+            plan = plans[template] = (
+                base,
+                [(template.slots[id(rng)][0], rows_only) for rng, rows_only in ranges],
+            )
+        base, ranges = plan
+        total += base
+        for at, rows_only in ranges:
+            total += _size(*cell[at:at + 4], rows_only)
+    return total
 
 
 _COMMENT_RE = re.compile(r"\s*(?:'|rem\b)", re.IGNORECASE)
@@ -192,7 +232,7 @@ class Analysis:
         self.wb = wb
 
     @cached_property
-    def asts(self) -> dict[CellAddress, FormulaAst]:
+    def asts(self) -> Formulas:
         return parse_all_formulas(self.wb)
 
     @cached_property
@@ -222,11 +262,13 @@ def compute_metrics(
         formula_cells=len(a.asts),
         unique_formulae=n,
         error_probability=error_probability(p, n),
-        # copies share their normalized text, hence their IF calls
+        # copies share their normalized text, hence their IF calls, and
+        # the cells of one template share its IF calls
         max_branching=max(
-            (branch_count(a.asts[c.representative]) for c in a.classes), default=0
+            (branch_count(t.ast) for t in {a.asts.cells[c.representative][0] for c in a.classes}),
+            default=0,
         ),
         external_link_count=len(a.graph.external_links),
         script_lines_total=sum(s.lines for s in a.scripts),
-        cost_estimate=sum(map(formula_cost, a.asts.values())),
+        cost_estimate=_total_cost(a.asts),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -357,7 +358,7 @@ def check_calc_mode(settings: WorkbookSettings) -> list[Finding]:
 def check_hardcoded_constant(
     classes: list[CopyClass],
     cfg: RuleConfig,
-    asts: dict[CellAddress, FormulaAst],
+    asts: Mapping[CellAddress, FormulaAst],
 ) -> list[Finding]:
     """Numeric literals repeated across many distinct copy classes."""
     appearances: dict[float, list[CellAddress]] = {}
@@ -399,7 +400,7 @@ def _literal_values(ast) -> list[float]:
 
 
 def check_deep_nesting(
-    classes: list[CopyClass], cfg: RuleConfig, asts: dict[CellAddress, FormulaAst]
+    classes: list[CopyClass], cfg: RuleConfig, asts: Mapping[CellAddress, FormulaAst]
 ) -> list[Finding]:
     """Formulas whose conditional branch count exceeds the budget; reported
     once per copy class at its representative."""
@@ -486,7 +487,7 @@ def check_copy_class_holes(
 
 
 def check_lookup_hotspots(
-    classes: list[CopyClass], cfg: RuleConfig, asts: dict[CellAddress, FormulaAst]
+    classes: list[CopyClass], cfg: RuleConfig, asts: Mapping[CellAddress, FormulaAst]
 ) -> list[Finding]:
     """Formulas that are both lookup-bearing and expensive under the cost
     model; reported once per copy class."""

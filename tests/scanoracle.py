@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from sheetsentry.evaluate import Engine
+from sheetsentry.evaluate import Engine, _compare
 from sheetsentry.formula import RangeRef
 from sheetsentry.workbook import CellValue, Sheet
 
@@ -49,6 +49,6 @@ class ScanEngine(Engine):
                 return candidate
             if candidate.is_blank():
                 continue
-            if self._compare("=", key, candidate).value:
+            if _compare("=", key, candidate).value:
                 return self._cell_value(sheet, first_col + offset, row)
         return _NA

@@ -320,7 +320,7 @@ class TestMemoryFollowsFormulas:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained / len(a.asts) <= 650
+        assert retained / len(a.asts) <= 450
 
 
 class TestParserWork:

@@ -196,12 +196,13 @@ def test_reading_an_unevaluated_formula_raises():
     """The order check: a range or lookup that reaches a formula cell not yet evaluated."""
     wb = make_workbook({"S": {"A1": 3, "A2": "=A1+1", "B1": "=SUM(A1:A2)",
                               "B2": "=VLOOKUP(4,A1:A2,1,FALSE)"}})
-    asts = parse_all_formulas(wb)
-    total, lookup = asts[addr("S", "B1")], asts[addr("S", "B2")]
-    for ast in (total, lookup):
+    cells = parse_all_formulas(wb).cells
+    total, lookup = cells[addr("S", "B1")], cells[addr("S", "B2")]
+    sheet = wb.sheet("S")
+    for cell in (total, lookup):
         with pytest.raises(RuntimeError, match="not yet evaluated"):
-            Engine(wb)._eval(ast, "S")
+            Engine(wb)._evaluate(cell, sheet)
     engine = Engine(wb)
     engine.run()
-    assert engine._eval(total, "S") == CellValue.number(7)
-    assert engine._eval(lookup, "S") == CellValue.number(4)
+    assert engine._evaluate(total, sheet) == CellValue.number(7)
+    assert engine._evaluate(lookup, sheet) == CellValue.number(4)
