@@ -26,8 +26,9 @@ formula cell is the tuple of its template and then its hole values --
 numbers, columns and rows -- which is what :func:`parse_all_formulas`
 keeps per cell; no AST is built for it. Whatever depends only on the
 shape is worked out once per template by its readers: copy-class keys
-(:mod:`sheetsentry.normalize`), graph nodes (:mod:`sheetsentry.graph`),
-cost (:mod:`sheetsentry.metrics`) and evaluation
+and texts (:mod:`sheetsentry.normalize`), graph nodes
+(:mod:`sheetsentry.graph`), rule facts and cost (:mod:`sheetsentry.metrics`)
+and evaluation
 (:mod:`sheetsentry.evaluate`). :meth:`Template.fill` builds a cell's AST
 on demand, as :func:`parse_formula` does, and the result always equals a
 fresh parse:
@@ -516,9 +517,10 @@ class Formulas(Mapping[CellAddress, FormulaAst]):
     """The formula cells of one workbook, as :func:`parse_all_formulas` read them.
 
     ``cells`` maps each address to its formula cell, a :class:`Template`
-    followed by its hole values. As a mapping it gives each address's AST,
-    filled on first use and then kept, so only the ASTs something reads
-    are built.
+    followed by its hole values, in the order the cells were parsed. As a
+    mapping it gives each address's AST, filled on first use and then
+    kept, so only the ASTs something reads are built; the audit itself
+    reads none, only ``cells``.
     """
 
     def __init__(self, cells: dict[CellAddress, tuple]) -> None:
@@ -543,7 +545,8 @@ class Formulas(Mapping[CellAddress, FormulaAst]):
 
 
 def parse_all_formulas(wb: Workbook) -> Formulas:
-    """Parse every formula cell once; raises ParseError naming the cell."""
+    """Parse every formula cell once, in reading order (sheet order, then
+    row, then column); raises ParseError naming the cell."""
     cells: dict[CellAddress, tuple] = {}
     for addr, cell in wb.iter_cells():
         if cell.formula is None:
@@ -795,42 +798,65 @@ def render_ast(
     corners' cells around a ``:``. The normalizer swaps both out to
     produce origin-relative text; everything else is shared.
     """
-    if isinstance(node, NumberLit):
-        return number_literal(node.value)
-    if isinstance(node, TextLit):
-        return '"' + node.value.replace('"', '""') + '"'
-    if isinstance(node, BoolLit):
-        return "TRUE" if node.value else "FALSE"
-    if isinstance(node, Ref):
-        return qualifier(node.ref) + cell(node.ref)
-    if isinstance(node, Range):
+
+    def leaf(node: NumberLit | Ref | Range) -> str:
+        if isinstance(node, NumberLit):
+            return number_literal(node.value)
+        if isinstance(node, Ref):
+            return qualifier(node.ref) + cell(node.ref)
         rng = node.ref
         return f"{qualifier(rng.start)}{cell(rng.start)}:{cell(rng.end)}"
-    if isinstance(node, Call):
-        args = ",".join(render_ast(a, qualifier, cell) for a in node.args)
-        return f"{node.name}({args})"
-    if isinstance(node, Unary):
-        text = render_ast(node.operand, qualifier, cell)
-        if _node_level(node.operand) < _UNARY_LEVEL:
-            text = f"({text})"
-        return f"{node.op}{text}"
-    if isinstance(node, Binary):
+
+    pieces: list = []
+    render_pieces(node, leaf, pieces)
+    return "".join(pieces)
+
+
+def render_pieces(node: FormulaAst, leaf: Callable[[FormulaAst], object], out: list) -> None:
+    """Append the text of ``node`` to ``out`` in pieces, with minimal
+    parentheses: ``leaf(n)`` for each number and reference leaf ``n``,
+    strings for everything else. :func:`render_ast` joins them; the
+    normalizer keeps a template's leaves as slots to fill per copy class.
+    """
+    if isinstance(node, (NumberLit, Ref, Range)):
+        out.append(leaf(node))
+    elif isinstance(node, TextLit):
+        out.append('"' + node.value.replace('"', '""') + '"')
+    elif isinstance(node, BoolLit):
+        out.append("TRUE" if node.value else "FALSE")
+    elif isinstance(node, Call):
+        out.append(node.name + "(")
+        for i, arg in enumerate(node.args):
+            if i:
+                out.append(",")
+            render_pieces(arg, leaf, out)
+        out.append(")")
+    elif isinstance(node, Unary):
+        parens = _node_level(node.operand) < _UNARY_LEVEL
+        out.append(node.op + "(" if parens else node.op)
+        render_pieces(node.operand, leaf, out)
+        if parens:
+            out.append(")")
+    elif isinstance(node, Binary):
         level = _BINARY_LEVEL[node.op]
-        left = render_ast(node.left, qualifier, cell)
-        right = render_ast(node.right, qualifier, cell)
         if node.op == "^":
             # right-associative: any binary left child rebinds without parens
-            if isinstance(node.left, Binary):
-                left = f"({left})"
-            if isinstance(node.right, Binary) and _BINARY_LEVEL[node.right.op] < level:
-                right = f"({right})"
+            left = isinstance(node.left, Binary)
+            right = isinstance(node.right, Binary) and _BINARY_LEVEL[node.right.op] < level
         else:
-            if _node_level(node.left) < level:
-                left = f"({left})"
-            if _node_level(node.right) <= level:
-                right = f"({right})"
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"not a formula node: {node!r}")
+            left = _node_level(node.left) < level
+            right = _node_level(node.right) <= level
+        if left:
+            out.append("(")
+        render_pieces(node.left, leaf, out)
+        out.append(")" + node.op if left else node.op)
+        if right:
+            out.append("(")
+        render_pieces(node.right, leaf, out)
+        if right:
+            out.append(")")
+    else:
+        raise TypeError(f"not a formula node: {node!r}")
 
 
 def serialize_formula(ast: FormulaAst) -> str:

@@ -5,8 +5,10 @@ cells, copy classes, dependency graph, staleness report, script metrics --
 and builds each at most once, on first use. Metrics and rules both read
 from it, so one audit parses each formula once and recomputes values only
 if something asks for staleness. A formula cell is held as its shape's
-template plus its hole values, and its AST is filled only when something
-reads it: the rules read one per copy class.
+template plus its hole values, and an audit fills no AST: what the rules
+and metrics read of a formula -- its literals, IF and VLOOKUP calls and
+cost -- is found once per template (:class:`ShapeFacts`) and read with a
+cell's values.
 
 The headline number is the chance that a workbook contains at least one
 formula error: with an error rate ``p`` per unique formula and ``n``
@@ -19,6 +21,7 @@ embedded script modules.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +33,7 @@ from .formula import (
     Call,
     FormulaAst,
     Formulas,
+    NumberLit,
     Range,
     Template,
     Unary,
@@ -38,7 +42,7 @@ from .formula import (
 )
 from .graph import DepGraph, build_graph
 from .normalize import CopyClass, copy_classes
-from .workbook import ScriptModule, Workbook
+from .workbook import CellAddress, ScriptModule, Workbook
 
 DEFAULT_ERROR_RATE = 0.01
 
@@ -144,25 +148,72 @@ def formula_cost(ast: FormulaAst) -> int:
     )
 
 
-def _total_cost(formulas: Formulas) -> int:
-    """The summed :func:`formula_cost` of every formula cell, read per cell
-    from its template's cost and its own range corners."""
-    plans: dict[Template, tuple[int, list[tuple[int, bool]]]] = {}
+@dataclass(frozen=True, slots=True)
+class ShapeFacts:
+    """What the rules and metrics read of one template, found once.
+
+    ``numbers`` lists the number leaves the rules count as literals, as
+    (cell index, negated): a ``-`` directly over a number makes one
+    negative literal. ``ifs`` and ``lookups`` count the IF and VLOOKUP
+    calls. ``base`` is the cost of a cell but for its range sizes, and
+    ``ranges`` lists each charged range as (index of its first value,
+    charged by rows only). A formula cell of the template supplies the
+    values.
+    """
+
+    numbers: tuple[tuple[int, bool], ...]
+    ifs: int
+    lookups: int
+    base: int
+    ranges: tuple[tuple[int, bool], ...]
+
+    @property
+    def branches(self) -> int:
+        """:func:`branch_count` of every cell of the template."""
+        return self.ifs + 1 if self.ifs else 0
+
+    def cost(self, cell: tuple) -> int:
+        """:func:`formula_cost` of formula cell ``cell``."""
+        return self.base + sum(_size(*cell[at:at + 4], rows_only) for at, rows_only in self.ranges)
+
+    def literals(self, cell: tuple) -> list[float]:
+        """The finite numeric literals of formula cell ``cell``, in source order."""
+        values = [-cell[at] if negated else cell[at] for at, negated in self.numbers]
+        # 1e999 overflows to inf, which no JSON number can carry into evidence
+        return [value for value in values if math.isfinite(value)]
+
+
+def shape_facts(template: Template) -> ShapeFacts:
+    """The :class:`ShapeFacts` of ``template``."""
+    numbers = []
+    negated: set[int] = set()  # the number leaves under a "-"
+    ifs = lookups = 0
+    for node in walk(template.ast):
+        kind = type(node)
+        if kind is NumberLit:
+            numbers.append((template.slots[id(node)][0], id(node) in negated))
+        elif kind is Unary and node.op == "-" and type(node.operand) is NumberLit:
+            negated.add(id(node.operand))
+        elif kind is Call:
+            ifs += node.name == "IF"
+            lookups += node.name == "VLOOKUP"
+    ranges: list[tuple[Range, bool]] = []
+    base = 1 + _node_cost(template.ast, ranges)
+    return ShapeFacts(
+        tuple(numbers),
+        ifs,
+        lookups,
+        base,
+        tuple((template.slots[id(rng)][0], rows_only) for rng, rows_only in ranges),
+    )
+
+
+def _total_cost(cells: dict[CellAddress, tuple], shapes: dict[Template, ShapeFacts]) -> int:
+    """The summed :func:`formula_cost` of formula cells ``cells``."""
     total = 0
-    for cell in formulas.cells.values():
-        plan = plans.get(cell[0])
-        if plan is None:
-            template = cell[0]
-            ranges: list[tuple[Range, bool]] = []
-            base = 1 + _node_cost(template.ast, ranges)
-            plan = plans[template] = (
-                base,
-                [(template.slots[id(rng)][0], rows_only) for rng, rows_only in ranges],
-            )
-        base, ranges = plan
-        total += base
-        for at, rows_only in ranges:
-            total += _size(*cell[at:at + 4], rows_only)
+    for cell in cells.values():
+        facts = shapes[cell[0]]
+        total += facts.cost(cell) if facts.ranges else facts.base
     return total
 
 
@@ -251,6 +302,17 @@ class Analysis:
     def scripts(self) -> list[ScriptMetrics]:
         return script_metrics(self.wb.scripts)
 
+    @cached_property
+    def shapes(self) -> dict[Template, ShapeFacts]:
+        """The :class:`ShapeFacts` of each template, found on its first lookup."""
+        return _ShapeTable()
+
+
+class _ShapeTable(dict):
+    def __missing__(self, template: Template) -> ShapeFacts:
+        facts = self[template] = shape_facts(template)
+        return facts
+
 
 def compute_metrics(
     source: Workbook | Analysis, p: float = DEFAULT_ERROR_RATE
@@ -258,17 +320,18 @@ def compute_metrics(
     """All workbook metrics; never recomputes cell values."""
     a = source if isinstance(source, Analysis) else Analysis(source)
     n = len(a.classes)
+    cells, shapes = a.asts.cells, a.shapes
     return WorkbookMetrics(
-        formula_cells=len(a.asts),
+        formula_cells=len(cells),
         unique_formulae=n,
         error_probability=error_probability(p, n),
         # copies share their normalized text, hence their IF calls, and
         # the cells of one template share its IF calls
         max_branching=max(
-            (branch_count(t.ast) for t in {a.asts.cells[c.representative][0] for c in a.classes}),
+            (shapes[t].branches for t in {cells[c.representative][0] for c in a.classes}),
             default=0,
         ),
         external_link_count=len(a.graph.external_links),
         script_lines_total=sum(s.lines for s in a.scripts),
-        cost_estimate=_total_cost(a.asts),
+        cost_estimate=_total_cost(cells, shapes),
     )

@@ -13,21 +13,34 @@ qualifiers are uppercased in the text because sheet-name comparison is
 case-insensitive; class identity compares them casefolded, as
 :meth:`Workbook.sheet` matches names, so ``'ı'!A1`` and ``'i'!A1`` (two
 sheets) are two classes and ``'ẞ'!A1`` and ``'SS'!A1`` (one sheet) one.
+
+:func:`copy_classes` builds no AST. It reads each formula cell as its
+:class:`~sheetsentry.formula.Template` and hole values, and works out per
+template which values enter the text relative to the origin and how the
+text is made of fixed pieces and those values. It takes the cells in one
+pass, in the reading order :func:`parse_all_formulas` yields them (sheet
+order, then row, then column), and relies on that order: each class and
+each member list is built in the order its cells come, and never sorted.
+:func:`normalize` renders one AST and stays for library callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .formula import (
     FormulaAst,
     Formulas,
+    NumberLit,
     Range,
     Ref,
     Reference,
     Template,
+    number_literal,
     parse_all_formulas,
     render_ast,
+    render_pieces,
 )
 from .workbook import CellAddress, Workbook
 
@@ -90,12 +103,6 @@ def normalize(ast: FormulaAst, origin: CellAddress) -> str:
     return render_ast(ast, _r1c1_qualifier, lambda ref: _r1c1_cell(ref, origin))
 
 
-def _identity(ast: FormulaAst, origin: CellAddress) -> str:
-    """The normalized text with qualifiers casefolded, as the workbook
-    matches sheet names: two formulas are copies when these agree."""
-    return render_ast(ast, _folded_qualifier, lambda ref: _r1c1_cell(ref, origin))
-
-
 def _folded_qualifier(ref: Reference) -> str:
     if ref.external is not None:
         return f"[{ref.external.casefold()}]{_quote_name(ref.sheet.casefold())}!"
@@ -143,70 +150,139 @@ def copy_classes(wb: Workbook, asts: Formulas | None = None) -> list[CopyClass]:
     each class's first member (sheet order, row, column). ``asts`` is
     :func:`parse_all_formulas` output for ``wb``; without it the workbook
     is parsed here, which raises :class:`ParseError` naming the offending
-    cell.
+    cell. Its cells must be in that reading order, as
+    :func:`parse_all_formulas` yields them: classes and members are kept
+    in the order their cells come.
 
-    Cells of one template whose values agree once taken relative to their
-    origins have one text, so the text is rendered once per such group,
-    from the AST of its first member; groups of equal text, such as
-    whitespace and case variants of one formula, then merge.
+    One pass over the cells. A cell's key is its template and its values
+    taken relative to its origin; the first cell of a key renders the
+    class text from the key alone and joins the class of that text, so
+    whitespace and case variants of one formula, which have templates of
+    their own, share a class. Later cells of a key join its class directly.
     """
     if asts is None:
         asts = parse_all_formulas(wb)
-    cells = asts.cells
-    by_template: dict[Template, list[CellAddress]] = {}
-    for addr, cell in cells.items():
-        same = by_template.get(cell[0])
-        if same is None:
-            by_template[cell[0]] = [addr]
-        else:
-            same.append(addr)
-    groups: list[list[CellAddress]] = []
-    for template, addrs in by_template.items():
-        if len(addrs) == 1:
-            groups.append(addrs)
-            continue
-        cols, rows, mixed = _relative_values(template)
-        keyed: dict[tuple, list[CellAddress]] = {}
-        for addr in addrs:
-            cell = cells[addr]
-            key = list(cell)
-            for i in cols:
-                key[i] -= addr.col
-            for i in rows:
-                key[i] -= addr.row
-            for i, j in mixed:
-                key.append(cell[i] > cell[j])
-            key = tuple(key)
-            members = keyed.get(key)
-            if members is None:
-                keyed[key] = [addr]
+    shapes: dict[Template, _Shape] = {}
+    groups: dict[tuple, list[CellAddress]] = {}
+    classes: dict[str, tuple[str, list[CellAddress]]] = {}
+    for addr, cell in asts.cells.items():
+        shape = shapes.get(cell[0])
+        if shape is None:
+            shape = shapes[cell[0]] = _Shape(cell[0])
+        key = shape.key(cell, addr)
+        members = groups.get(key)
+        if members is None:
+            text, identity = shape.render(key)
+            found = classes.get(identity)
+            if found is None:
+                found = classes[identity] = (text, [])
+            members = groups[key] = found[1]
+        members.append(addr)
+    return [CopyClass(text, tuple(members)) for text, members in classes.values()]
+
+
+class _Shape:
+    """The class key and class text of the formula cells of one template.
+
+    The text is the template's normalized text with a slot per number and
+    reference leaf, filled from the key: a number renders its value, a
+    relative coordinate its offset from the origin, which the key already
+    holds, and an absolute one its value. A range orders its corners per
+    axis as :func:`make_range` does, by value, or, where the corners differ
+    in anchoring, by the bit the key carries for that axis.
+    """
+
+    __slots__ = ("cols", "rows", "mixed", "text", "identity", "holes")
+
+    def __init__(self, template: Template) -> None:
+        self.cols, self.rows, self.mixed = _relative_values(template)
+        relative = {*self.cols, *self.rows}
+        bits = {i: len(template.own) + 1 + k for k, (i, _) in enumerate(self.mixed)}
+        texts, folded, self.holes = [""], [""], []
+        pieces: list = []
+        render_pieces(template.ast, lambda node: node, pieces)
+        for piece in pieces:
+            if isinstance(piece, str):
+                texts[-1] += piece
+                folded[-1] += piece
+                continue
+            at = template.slots[id(piece)][0]
+            if isinstance(piece, NumberLit):
+                self.holes.append(lambda key, at=at: number_literal(key[at]))
             else:
-                members.append(addr)
-        groups += keyed.values()
-    # per identity: the text of the group with the first member, that
-    # member, and every member
-    classes: dict[str, tuple[str, CellAddress, list[CellAddress]]] = {}
-    merged: set[str] = set()
-    for members in groups:
-        first = members[0]
-        ast = asts[first]
-        text = normalize(ast, first)
-        identity = text  # unless a sheet or workbook name needs casefolding
-        for node in cells[first][0].refs:
-            qual = _qualifier_of(node)
-            if qual.sheet is not None or qual.external is not None:
-                identity = _identity(ast, first)
-                break
-        found = classes.get(identity)
-        if found is None:
-            classes[identity] = (text, first, members)
-            continue
-        if wb.address_sort_key(first) < wb.address_sort_key(found[1]):
-            classes[identity] = (text, first, found[2])
-        found[2].extend(members)
-        merged.add(identity)
-    for identity in merged:
-        classes[identity][2].sort(key=wb.address_sort_key)
-    result = [CopyClass(text, tuple(members)) for text, _, members in classes.values()]
-    result.sort(key=lambda c: wb.address_sort_key(c.members[0]))
-    return result
+                qual = _qualifier_of(piece)
+                texts[-1] += _r1c1_qualifier(qual)
+                folded[-1] += _folded_qualifier(qual)
+                if isinstance(piece, Ref):
+                    self.holes.append(_corner(at, relative))
+                else:
+                    self.holes.append(_range(at, relative, bits))
+            texts.append("")
+            folded.append("")
+        self.text = _format(texts)
+        identity = _format(folded)
+        self.identity = None if identity == self.text else identity
+
+    def key(self, cell: tuple, addr: CellAddress) -> tuple:
+        """The class key of formula cell ``cell`` at ``addr``."""
+        key = list(cell)
+        for i in self.cols:
+            key[i] -= addr.col
+        for i in self.rows:
+            key[i] -= addr.row
+        for i, j in self.mixed:
+            key.append(cell[i] > cell[j])
+        return tuple(key)
+
+    def render(self, key: tuple) -> tuple[str, str]:
+        """The normalized text of the class with key ``key`` and its identity,
+        the text with sheet and workbook names casefolded."""
+        values = [hole(key) for hole in self.holes]
+        text = self.text.format(*values)
+        return text, text if self.identity is None else self.identity.format(*values)
+
+
+def _format(texts: list[str]) -> str:
+    """A format string with the given texts around its fields."""
+    return "{}".join(text.replace("{", "{{").replace("}", "}}") for text in texts)
+
+
+def _coordinate(letter: str, i: int, relative: bool) -> Callable[[tuple], str]:
+    """The text of the coordinate that key value ``i`` holds."""
+    if relative:
+        return lambda key: f"{letter}[{key[i]}]" if key[i] else letter
+    return lambda key: f"{letter}{key[i]}"
+
+
+def _corner(at: int, relative: set[int]) -> Callable[[tuple], str]:
+    """The text of the reference corner whose column and row are key values
+    ``at`` and ``at + 1``."""
+    row = _coordinate("R", at + 1, at + 1 in relative)
+    col = _coordinate("C", at, at in relative)
+    return lambda key: row(key) + col(key)
+
+
+def _range(at: int, relative: set[int], bits: dict[int, int]) -> Callable[[tuple], str]:
+    """The text of the range whose corners as written are key values ``at``
+    to ``at + 3``; ``bits`` gives, per mixed-anchor axis, the key value that
+    says whether its second corner comes first."""
+    rows = _ordered("R", at + 1, at + 3, relative, bits.get(at + 1))
+    cols = _ordered("C", at, at + 2, relative, bits.get(at))
+
+    def text(key: tuple) -> str:
+        (r1, r2), (c1, c2) = rows(key), cols(key)
+        return f"{r1}{c1}:{r2}{c2}"
+    return text
+
+
+def _ordered(
+    letter: str, i: int, j: int, relative: set[int], bit: int | None
+) -> Callable[[tuple], tuple[str, str]]:
+    """The texts of one axis of a range's two corners, lower value first;
+    corners anchored alike compare by their key values, relative or not."""
+    first, second = _coordinate(letter, i, i in relative), _coordinate(letter, j, j in relative)
+
+    def texts(key: tuple) -> tuple[str, str]:
+        swapped = key[i] > key[j] if bit is None else key[bit]
+        return (second(key), first(key)) if swapped else (first(key), second(key))
+    return texts

@@ -13,16 +13,14 @@ recalculation mode, and expensive lookup formulas. Thresholds live in
 from __future__ import annotations
 
 import enum
-import math
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any
 
 from .errors import FormatError
 from .evaluate import StalenessReport
-from .formula import Call, FormulaAst, NumberLit, Unary, tokenize, walk
+from .formula import tokenize
 from .graph import DepGraph
-from .metrics import Analysis, ScriptMetrics, branch_count, formula_cost
+from .metrics import Analysis, ScriptMetrics
 from .normalize import CopyClass
 from .workbook import CalcMode, CellAddress, Manifest, Workbook, WorkbookSettings, read_json
 
@@ -355,15 +353,13 @@ def check_calc_mode(settings: WorkbookSettings) -> list[Finding]:
     ]
 
 
-def check_hardcoded_constant(
-    classes: list[CopyClass],
-    cfg: RuleConfig,
-    asts: Mapping[CellAddress, FormulaAst],
-) -> list[Finding]:
+def check_hardcoded_constant(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     """Numeric literals repeated across many distinct copy classes."""
+    cells, shapes = analysis.asts.cells, analysis.shapes
     appearances: dict[float, list[CellAddress]] = {}
-    for cls in classes:
-        for value in sorted(set(_literal_values(asts[cls.representative]))):
+    for cls in analysis.classes:
+        cell = cells[cls.representative]
+        for value in sorted(set(shapes[cell[0]].literals(cell))):
             appearances.setdefault(value, []).append(cls.representative)
     findings = []
     for value in sorted(appearances):
@@ -384,29 +380,13 @@ def check_hardcoded_constant(
     return findings
 
 
-def _literal_values(ast) -> list[float]:
-    out = []
-    skip: set[int] = set()
-    for node in walk(ast):
-        if id(node) in skip:
-            continue
-        if isinstance(node, Unary) and node.op == "-" and isinstance(node.operand, NumberLit):
-            out.append(-node.operand.value)
-            skip.add(id(node.operand))
-        elif isinstance(node, NumberLit):
-            out.append(node.value)
-    # 1e999 overflows to inf, which no JSON number can carry into evidence
-    return [value for value in out if math.isfinite(value)]
-
-
-def check_deep_nesting(
-    classes: list[CopyClass], cfg: RuleConfig, asts: Mapping[CellAddress, FormulaAst]
-) -> list[Finding]:
+def check_deep_nesting(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     """Formulas whose conditional branch count exceeds the budget; reported
     once per copy class at its representative."""
+    cells, shapes = analysis.asts.cells, analysis.shapes
     findings = []
-    for cls in classes:
-        branches = branch_count(asts[cls.representative])
+    for cls in analysis.classes:
+        branches = shapes[cells[cls.representative][0]].branches
         if branches > cfg.max_branches:
             findings.append(
                 _finding(
@@ -486,20 +466,17 @@ def check_copy_class_holes(
     return findings
 
 
-def check_lookup_hotspots(
-    classes: list[CopyClass], cfg: RuleConfig, asts: Mapping[CellAddress, FormulaAst]
-) -> list[Finding]:
+def check_lookup_hotspots(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     """Formulas that are both lookup-bearing and expensive under the cost
     model; reported once per copy class."""
+    cells, shapes = analysis.asts.cells, analysis.shapes
     findings = []
-    for cls in classes:
-        ast = asts[cls.representative]
-        lookups = sum(
-            1 for node in walk(ast) if isinstance(node, Call) and node.name == "VLOOKUP"
-        )
-        if not lookups:
+    for cls in analysis.classes:
+        cell = cells[cls.representative]
+        facts = shapes[cell[0]]
+        if not facts.lookups:
             continue
-        cost = formula_cost(ast)
+        cost = facts.cost(cell)
         if cost <= cfg.lookup_cost_threshold:
             continue
         findings.append(
@@ -511,7 +488,7 @@ def check_lookup_hotspots(
                 "reference or a smaller table",
                 (
                     ("cost", cost),
-                    ("lookup_count", lookups),
+                    ("lookup_count", facts.lookups),
                     ("class_size", len(cls.members)),
                 ),
             )
@@ -553,7 +530,7 @@ def check_script_quality(
 def run_rules(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     """Run every enabled rule and return findings sorted by severity
     (descending), then rule id, then first location."""
-    wb, classes, asts = analysis.wb, analysis.classes, analysis.asts
+    wb, classes = analysis.wb, analysis.classes
 
     on = cfg.enabled
     findings: list[Finding] = []
@@ -567,15 +544,15 @@ def run_rules(analysis: Analysis, cfg: RuleConfig) -> list[Finding]:
     if "MANUAL_CALC" in on:
         findings.extend(check_calc_mode(wb.settings))
     if "HARDCODED_CONSTANT" in on:
-        findings.extend(check_hardcoded_constant(classes, cfg, asts))
+        findings.extend(check_hardcoded_constant(analysis, cfg))
     if "DEEP_NESTING" in on:
-        findings.extend(check_deep_nesting(classes, cfg, asts))
+        findings.extend(check_deep_nesting(analysis, cfg))
     if "LONG_FORMULA" in on:
         findings.extend(check_long_formula(wb, classes, cfg))
     if "COPY_CLASS_HOLE" in on:
         findings.extend(check_copy_class_holes(wb, classes, cfg))
     if "LOOKUP_HOTSPOT" in on:
-        findings.extend(check_lookup_hotspots(classes, cfg, asts))
+        findings.extend(check_lookup_hotspots(analysis, cfg))
     if "SCRIPT_QUALITY" in on:
         findings.extend(check_script_quality(analysis.scripts, cfg))
 

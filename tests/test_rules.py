@@ -221,7 +221,7 @@ class TestCalcModeRule:
 class TestHardcodedConstantRule:
     def _findings(self, formulas, cfg=None):
         analysis = Analysis(make_workbook({"S": formulas}))
-        return check_hardcoded_constant(analysis.classes, cfg or RuleConfig(), analysis.asts)
+        return check_hardcoded_constant(analysis, cfg or RuleConfig())
 
     def test_three_classes_trigger(self):
         findings = self._findings({"B1": "=A1+65", "B2": "=A2-65", "B3": "=A3*65"})

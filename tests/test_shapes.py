@@ -2,10 +2,12 @@
 
 An audit keeps each formula cell as its shape's template plus its hole
 values. Copy classes are keyed on the template and the holes taken
-relative to the cell, graph nodes are read from the holes, and each
-template compiles once into an evaluator. The tests here check each fast
-path against the per-cell slow path it replaced: normalized text per cell,
-and the tree-walking evaluator in ``evaloracle``.
+relative to the cell and their texts rendered from the template, graph
+nodes are read from the holes, the per-class rules read per-template
+facts, and each template compiles once into an evaluator. The tests here
+check each fast path against the per-cell slow path it replaced:
+normalized text per cell, the filled-AST classes and rules in
+``classoracle``, and the tree-walking evaluator in ``evaloracle``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import replace
+from importlib import import_module
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetsentry import evaluate as evaluate_module
 from sheetsentry import formula as formula_module
+from sheetsentry import metrics as metrics_module
+from sheetsentry import rules as rules_module
 from sheetsentry.formula import (
     Binary,
     Call,
@@ -34,9 +39,9 @@ from sheetsentry.formula import (
     serialize_formula,
     tokenize,
 )
-from sheetsentry.metrics import Analysis, compute_metrics
-from sheetsentry.normalize import _identity, copy_classes, normalize
-from sheetsentry.report import audit_workbook
+from sheetsentry.metrics import Analysis, branch_count, compute_metrics, formula_cost
+from sheetsentry.normalize import copy_classes, normalize
+from sheetsentry.report import audit_workbook, render_json
 from sheetsentry.rules import RuleConfig, run_rules
 from sheetsentry.workbook import (
     MAX_COL,
@@ -49,6 +54,7 @@ from sheetsentry.workbook import (
     workbook_from_dict,
 )
 
+import classoracle
 from astgen import random_ast
 from conftest import as_cell, fuzz_examples, make_workbook, scale_grid_doc
 from evalgen import random_acyclic_workbook
@@ -56,6 +62,9 @@ from evaloracle import TreeEngine
 from scanoracle import ScanEngine
 from test_normalize import translate_ast
 from test_range_reads import outcome, plain
+
+# the package's ``normalize`` attribute is the function, not the module
+normalize_module = import_module("sheetsentry.normalize")
 
 
 def map_refs(node: FormulaAst, fn) -> FormulaAst:
@@ -133,13 +142,41 @@ class TestClassKeys:
         for (col, row), src in cells.items():
             at = CellAddress("S", col, row)
             # the slow path: a fresh parse per cell, its text with names casefolded
-            text = _identity(formula_module._parse(src), at)
+            text = classoracle._identity(formula_module._parse(src), at)
             by_text.setdefault(text, set()).add(at)
         classes = copy_classes(wb)
         assert partition(classes) == {frozenset(m) for m in by_text.values()}
         for cls in classes:
             rep = cls.representative
             assert cls.normalized == normalize(formula_module._parse(cells[rep.col, rep.row]), rep)
+
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_classes_and_class_rules_match_the_oracle(self, rng):
+        wb = make_workbook({
+            name: {f"{col_to_letters(c)}{r}": f for (c, r), f in generated_cells(rng).items()}
+            for name in ("S", "T")
+        })
+        a = Analysis(wb)
+        # class order, member order and text, not only the partition
+        assert a.classes == classoracle.copy_classes(wb, a.asts)
+        # every literal of every class is a finding
+        cfg = RuleConfig(
+            const_min_repeats=1, const_whitelist=frozenset(), max_branches=1, lookup_cost_threshold=1
+        )
+        for check in ("check_hardcoded_constant", "check_deep_nesting", "check_lookup_hotspots"):
+            got = getattr(rules_module, check)(a, cfg)
+            expected = getattr(classoracle, check)(a.classes, cfg, a.asts)
+            # repr tells -0.0 from 0.0
+            assert repr(got) == repr(expected), check
+        for addr, cell in a.asts.cells.items():
+            facts, ast = a.shapes[cell[0]], a.asts[addr]
+            assert repr(facts.literals(cell)) == repr(classoracle._literal_values(ast))
+            assert facts.branches == branch_count(ast)
+            assert facts.cost(cell) == formula_cost(ast)
+        metrics = compute_metrics(a)
+        assert metrics.max_branching == classoracle.max_branching(a.classes, a.asts)
+        assert metrics.cost_estimate == classoracle.cost_estimate(a.asts)
 
     def test_mixed_anchor_range_copies(self):
         # $B1:A1 copied right swaps its corners once its relative corner passes B
@@ -235,9 +272,10 @@ class TestCompiledEvaluation:
 
 
 class TestWorkPerShape:
-    """Criterion 8's grid: 100,000 formula cells, 400 classes, one shape."""
+    """An audit fills no AST: criterion 8's grid (100,000 formula cells,
+    400 classes, one shape) and a workbook of small classes."""
 
-    def test_one_ast_per_class_and_one_evaluator_per_shape(self, monkeypatch):
+    def test_no_ast_and_one_evaluator_per_shape(self, monkeypatch):
         fills, compiles = [0], [0]
         fill, compile_template = Template.fill, evaluate_module.compile_template
 
@@ -258,8 +296,40 @@ class TestWorkPerShape:
         shapes = {cell[0] for cell in a.asts.cells.values()}
         assert metrics.formula_cells == 100_000 and metrics.unique_formulae == 400
         assert len(shapes) == 1
-        assert fills[0] <= metrics.unique_formulae
+        assert fills[0] == 0
         assert compiles[0] == len(shapes)
+
+    def test_audit_of_small_classes_fills_and_renders_no_ast(self, monkeypatch):
+        # audit_mix's shape: 2,000 singleton classes on a qualified sheet and
+        # a running balance over them, with the per-class rules firing
+        calc = {}
+        for r in range(1, 2001):
+            calc[f"B{r}"] = f"=Inputs!A{r}*{r + 0.5}"
+            calc[f"C{r}"] = f"=C{r - 1}+B{r}" if r > 1 else "=B1"
+            calc[f"D{r}"] = f"=IF(B{r}>1,IF(B{r}>2,1,-7.5),IF(C{r}>3,3,IF(A{r}>4,-7.5,5)))"
+        calc["E1"] = "=VLOOKUP(Inputs!A1,Inputs!$A$1:$A$2000,1)"
+        calc["E2"] = "=[Rates]Table!A1*-7.5"
+        calc["E3"] = "=-7.5+Inputs!A3"
+        wb = make_workbook({"Calc": calc, "Inputs": {f"A{r}": r for r in range(1, 2001)}})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an audit filled or rendered an AST")
+
+        monkeypatch.setattr(Template, "fill", refuse)
+        for module, name in [
+            (formula_module, "render_ast"),
+            (normalize_module, "render_ast"),
+            (normalize_module, "normalize"),
+            (metrics_module, "branch_count"),
+            (metrics_module, "formula_cost"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        report = audit_workbook(wb)
+        render_json(report)
+        assert report.metrics.unique_formulae == 2000 + 2 + 1 + 3
+        assert {f.rule_id for f in report.findings} >= {
+            "HARDCODED_CONSTANT", "DEEP_NESTING", "LOOKUP_HOTSPOT", "STALE_VALUE"
+        }
 
     def test_cells_keep_their_templates(self, monkeypatch):
         # a shape table emptied on every store leaves each cell its template
