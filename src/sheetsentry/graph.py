@@ -1,8 +1,11 @@
 """Cell dependency graph -- precedents, dependents, cycles, ordering, DOT.
 
-:func:`build_graph` keeps ranges compact: each formula cell maps to the
-cells and range rectangles (:class:`RangeNode`) it reads. Two views are
-built from that form lazily, each on first use:
+:func:`build_graph` keeps the graph by shape. A formula cell is already
+held once, as its :class:`Template` and its hole values; the graph adds a
+plan per template and sheet (:func:`_resolve`) and the external-link
+inventory, nothing per cell. One function, :func:`_references`, reads
+each cell's references from its plan and its values. Two views are built
+from them, each on first use, and keep only their adjacency:
 
 - The cell-level view behind the queries (precedents, dependents, edges,
   DOT). Its nodes are formula cells plus every referenced cell, and its
@@ -15,12 +18,10 @@ built from that form lazily, each on first use:
 
 Both views find the formula cells inside a range in one way,
 :func:`_formula_cells`, through the sheet's column index
-(:meth:`Sheet.column_slices`). That costs a bisection per occupied column
-of the range, not a walk over its area or over every formula cell, so the
-formula view's size follows the formulas that read formulas.
-
-Each view says what its nodes read, once each. One builder, :func:`_adjacency`,
-turns that into unsorted adjacency lists; the queries sort what they return.
+(:meth:`Sheet.column_slices`): a bisection per occupied column of the
+range, not a walk over its area or over every formula cell. One builder,
+:func:`_adjacency`, turns what each view's nodes read into unsorted
+adjacency lists; the queries sort what they return.
 
 Every reference is resolved by :meth:`Workbook.resolve`, as in the
 evaluator. References into other workbooks, cells and ranges alike, become
@@ -38,30 +39,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterator, Union
+from functools import cached_property, partial
+from typing import Callable, Iterator, Union
 
 from .errors import UnknownNodeError
-from .formula import (
-    Formulas,
-    RangeRef,
-    Ref,
-    Template,
-    parse_all_formulas,
-    render_a1,
-)
-from .workbook import CellAddress, Workbook, col_to_letters
+from .formula import Formulas, RangeRef, Ref, Template, parse_all_formulas, render_a1
+from .workbook import CellAddress, Sheet, Workbook, col_to_letters
 
 RANGE_EXPANSION_CAP = 100_000
 
 
 @dataclass(frozen=True, slots=True)
 class RangeNode:
-    """A rectangle of cells on one sheet.
-
-    It is the compact form of a range reference, and in the cell-level view
-    the aggregate node standing in for a range too large to expand.
-    """
+    """A rectangle of cells on one sheet: in the cell-level view, the
+    aggregate node standing in for a range too large to expand."""
 
     sheet: str
     start_col: int
@@ -80,6 +71,7 @@ class RangeNode:
 
 
 Node = Union[CellAddress, RangeNode]
+Reads = Callable[[], dict[Node, list[Node]]]  # what each node of a view reads
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,27 +94,23 @@ class CycleReport:
 class DepGraph:
     """Precedent/dependent graph over one workbook.
 
-    Held compactly: each formula cell maps to the nodes it reads, one per
-    reference -- a :class:`CellAddress` for a cell reference, a
-    :class:`RangeNode` rectangle for a range. The cell-level view behind
-    the queries is expanded from that form on first use; :attr:`formulas`
-    resolves the same form to formula cells only. Both views come unsorted
-    from :func:`_adjacency`; the queries sort what they return.
+    ``reads`` and ``formula_reads`` say, when called, what each node of the
+    cell-level view and of :attr:`formulas` reads. Each view calls its
+    function on first use and keeps only the adjacency :func:`_adjacency`
+    makes of the result; the queries sort what they return.
     """
 
     def __init__(
-        self,
-        refs: dict[CellAddress, list[Node]],
-        external_links: list[ExternalLink],
-        wb: Workbook,
+        self, reads: Reads, formula_reads: Reads, external_links: list[ExternalLink], wb: Workbook
     ) -> None:
-        self._refs = refs
+        self._reads = reads
+        self._formula_reads = formula_reads
         self.external_links = external_links
         self.wb = wb
 
     @cached_property
     def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
-        return _adjacency(_expand(self._refs, self.wb))
+        return _adjacency(self._reads())
 
     @property
     def _preds(self) -> dict[Node, list[Node]]:
@@ -137,28 +125,13 @@ class DepGraph:
         """The links between formula cells, which is all evaluation has to order.
 
         It has an edge u -> v exactly when formula cell v reads formula cell
-        u, directly or through a range, and no node off those edges; a range
-        is resolved to the formula cells inside it through its sheet's column
-        index (:meth:`Sheet.column_slices`), so no range is expanded and
-        inputs and blanks never become nodes. Cycle membership of formula
-        cells is the same as in the full view.
+        u, directly or through a range, and no node off those edges; no range
+        is expanded and inputs and blanks never become nodes. Cycle
+        membership of formula cells is the same as in the full view. Its own
+        :attr:`formulas` has the same links.
         """
-        refs = self._refs
-        reads: dict[Node, list[Node]] = {}
-        for addr, nodes in refs.items():
-            found: list[Node] = []
-            for node in nodes:
-                if type(node) is CellAddress:
-                    if node in refs:
-                        found.append(node)
-                else:
-                    found += _formula_cells(self.wb, node)
-            if found:  # sized exactly; one reference cannot read a cell twice
-                reads[addr] = list(dict.fromkeys(found) if len(nodes) > 1 else found)
-        graph = DepGraph(reads, self.external_links, self.wb)
-        # every node reads only formula cells, which need no expansion
-        graph._view = _adjacency(reads)
-        return graph
+        reads = self._formula_reads
+        return DepGraph(reads, reads, self.external_links, self.wb)
 
     # -- ordering helpers
 
@@ -221,87 +194,109 @@ def build_graph(wb: Workbook, asts: Formulas | None = None) -> DepGraph:
     ``asts`` is :func:`parse_all_formulas` output for ``wb``; without it the
     workbook is parsed here, which raises :class:`ParseError` naming the
     cell. The references of a template are resolved once per sheet it is
-    used on; each cell then reads its nodes from its own values and
-    collects its external links. Ranges stay one :class:`RangeNode` each
-    until a query needs the cell-level view.
+    used on (:func:`_resolve`), and each cell's external links are collected
+    from its own values. Nothing else is kept per cell: the views read each
+    cell's nodes from its plan and values on first use.
     """
     if asts is None:
         asts = parse_all_formulas(wb)
-    refs: dict[CellAddress, list[Node]] = {}
+    cells = asts.cells
     external_links: list[ExternalLink] = []
-    plans: dict[tuple[Template, str], list] = {}
-    for addr, cell in asts.cells.items():
+    plans: dict[tuple[Template, str], tuple[list, list]] = {}
+    for addr, cell in cells.items():
         template = cell[0]
         plan = plans.get((template, addr.sheet))
         if plan is None:
             plan = plans[(template, addr.sheet)] = _resolve(wb, template, addr.sheet)
-        reads: list[Node] = []
-        for node, at, sheet, book in plan:
-            if book is not None:
-                ref = template.reference(cell, node)
-                corners = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)
-                local = [replace(corner, sheet=None, external=None) for corner in corners]
-                target = ":".join(map(render_a1, local))
-                external_links.append(ExternalLink(addr, book, corners[0].sheet or "", target))
-            elif type(node) is Ref:
-                reads.append(CellAddress(sheet, cell[at], cell[at + 1]))
-            else:
-                c1, r1, c2, r2 = cell[at:at + 4]
-                reads.append(RangeNode(sheet, min(c1, c2), min(r1, r2), max(c1, c2), max(r1, r2)))
-        refs[addr] = reads
-    return DepGraph(refs, external_links, wb)
+        for node, book in plan[1]:
+            ref = template.reference(cell, node)
+            corners = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)
+            local = [replace(corner, sheet=None, external=None) for corner in corners]
+            target = ":".join(map(render_a1, local))
+            external_links.append(ExternalLink(addr, book, corners[0].sheet or "", target))
+    references = partial(_references, cells, plans)
+    reads = partial(_expand, references, cells)
+    return DepGraph(reads, partial(_link_formulas, references), external_links, wb)
 
 
-def _resolve(wb: Workbook, template: Template, origin_sheet: str) -> list:
-    """Per reference of ``template`` on ``origin_sheet``, in source order:
-    the leaf, the index of its first value, and the stored sheet's name or
-    the other workbook's name. References to missing sheets are left out."""
-    plan = []
+def _resolve(wb: Workbook, template: Template, origin_sheet: str) -> tuple[list, list]:
+    """The references of ``template`` on ``origin_sheet``, in source order,
+    split in two. Per local reference: the stored sheet it reads and the
+    indices of the values of its first and last corner. Per reference into
+    another workbook: the leaf and that workbook's name. References to
+    missing sheets are left out."""
+    local, external = [], []
     for node in template.refs:
         found = wb.resolve(node.ref, origin_sheet)
-        at = template.slots[id(node)][0]
         if isinstance(found, str):
-            plan.append((node, at, None, found))
+            external.append((node, found))
         elif found is not None:
-            plan.append((node, at, found.name, None))
-    return plan
+            at = template.slots[id(node)][0]
+            local.append((found, at, at if type(node) is Ref else at + 2))
+    return local, external
 
 
-def _expand(refs: dict[CellAddress, list[Node]], wb: Workbook) -> dict[Node, list[Node]]:
+def _references(
+    cells: dict[CellAddress, tuple], plans: dict[tuple[Template, str], tuple[list, list]]
+) -> Iterator[tuple[CellAddress, Sheet, int, int, int, int]]:
+    """Every local reference of every formula cell, in cell and source order:
+    the cell, the sheet read and the rectangle read, as left column, top
+    row, right column and bottom row. A cell reference is a 1x1 rectangle."""
+    for addr, cell in cells.items():
+        for sheet, at, last in plans[cell[0], addr.sheet][0]:
+            c1, r1, c2, r2 = cell[at], cell[at + 1], cell[last], cell[last + 1]
+            if at == last:
+                yield addr, sheet, c1, r1, c1, r1
+            else:
+                yield addr, sheet, min(c1, c2), min(r1, r2), max(c1, c2), max(r1, r2)
+
+
+def _expand(references: Callable, cells: dict[CellAddress, tuple]) -> dict[Node, list[Node]]:
     """What each node of the cell-level view reads.
 
-    A formula cell reads each cell it references and, for a range, each
-    covered cell up to :data:`RANGE_EXPANSION_CAP`; a larger range is read
-    as one aggregate :class:`RangeNode`, which reads the formula cells
-    inside it (:func:`_formula_cells`).
+    Every formula cell is a node. It reads each cell it references and, for
+    a range, each covered cell up to :data:`RANGE_EXPANSION_CAP`; a larger
+    range is read as one aggregate :class:`RangeNode`, which reads the
+    formula cells inside it (:func:`_formula_cells`).
     """
-    reads: dict[Node, list[Node]] = {}
-    for addr, nodes in refs.items():
-        cells: list[Node] = []
-        for node in nodes:
-            if type(node) is CellAddress:
-                cells.append(node)
-            elif node.size() > RANGE_EXPANSION_CAP:
-                cells.append(node)
-                if node not in reads:
-                    reads[node] = _formula_cells(wb, node)
-            else:
-                cells += [
-                    CellAddress(node.sheet, col, row)
-                    for col in range(node.start_col, node.end_col + 1)
-                    for row in range(node.start_row, node.end_row + 1)
-                ]
-        reads[addr] = list(dict.fromkeys(cells)) if len(nodes) > 1 else cells
+    reads: dict[Node, list[Node]] = {addr: [] for addr in cells}
+    for addr, sheet, c1, r1, c2, r2 in references():
+        if (c2 - c1 + 1) * (r2 - r1 + 1) > RANGE_EXPANSION_CAP:
+            node = RangeNode(sheet.name, c1, r1, c2, r2)
+            reads[addr].append(node)
+            if node not in reads:
+                reads[node] = _formula_cells(sheet, c1, r1, c2, r2)
+        else:
+            cols, rows = range(c1, c2 + 1), range(r1, r2 + 1)
+            reads[addr] += [CellAddress(sheet.name, col, row) for col in cols for row in rows]
     return reads
 
 
-def _formula_cells(wb: Workbook, node: RangeNode) -> list[CellAddress]:
-    """The formula cells inside a range, column by column, found through its
-    sheet's column index (:meth:`Sheet.column_slices`) whatever its area."""
+def _link_formulas(references: Callable) -> dict[Node, list[Node]]:
+    """What each formula cell reads of the formula cells, for the cells that
+    read any. A cell reference is looked up in its sheet's cell store, so
+    no node is made for a read of an input; a range reads the formula cells
+    inside it (:func:`_formula_cells`)."""
+    reads: dict[Node, list[Node]] = {}
+    for addr, sheet, c1, r1, c2, r2 in references():
+        if c1 == c2 and r1 == r2:
+            cell = sheet.cells.get((c1, r1))
+            if cell is None or cell.formula is None:
+                continue
+            found = [CellAddress(sheet.name, c1, r1)]
+        else:
+            found = _formula_cells(sheet, c1, r1, c2, r2)
+        if found:
+            reads[addr] = reads[addr] + found if addr in reads else found
+    return reads
+
+
+def _formula_cells(sheet: Sheet, c1: int, r1: int, c2: int, r2: int) -> list[CellAddress]:
+    """The formula cells inside a rectangle of ``sheet``, column by column,
+    found through its column index (:meth:`Sheet.column_slices`) whatever
+    its area."""
     found: list[CellAddress] = []
-    for column, lo, hi in wb.sheet(node.sheet).column_slices(
-        node.start_col, node.start_row, node.end_col, node.end_row
-    ):
+    for column, lo, hi in sheet.column_slices(c1, r1, c2, r2):
         found += column.formulas[column.before[lo]:column.before[hi]]
     return found
 
@@ -311,12 +306,14 @@ def _adjacency(
 ) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
     """Precedent and dependent lists of the graph whose nodes read ``reads``.
 
-    Each node's reads must hold no duplicate. ``reads`` itself becomes the
-    precedent map; a node that is read but reads nothing joins it with no
-    precedents. Nothing is sorted.
+    ``reads`` itself becomes the precedent map, with each list's repeats
+    dropped (one reference cannot read a cell twice, two can); a node that
+    is read but reads nothing joins it with no precedents. Nothing is sorted.
     """
     deps: dict[Node, list[Node]] = {node: [] for node in reads}
     for node, srcs in reads.items():
+        if len(srcs) > 1:
+            srcs = reads[node] = list(dict.fromkeys(srcs))
         for src in srcs:
             if src in deps:
                 deps[src].append(node)

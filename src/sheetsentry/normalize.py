@@ -86,11 +86,13 @@ def _r1c1_cell(ref: Reference, origin: CellAddress) -> str:
     )
 
 
-def _r1c1_qualifier(ref: Reference) -> str:
+def _qualifier(ref: Reference, case: Callable[[str], str] = str.upper) -> str:
+    """The workbook and sheet prefix of ``ref``, its names mapped by ``case``:
+    upper case in normalized text, casefolded in a class's identity."""
     if ref.external is not None:
-        return f"[{ref.external.upper()}]{_quote_name(ref.sheet.upper())}!"
+        return f"[{case(ref.external)}]{_quote_name(case(ref.sheet))}!"
     if ref.sheet is not None:
-        return f"{_quote_name(ref.sheet.upper())}!"
+        return f"{_quote_name(case(ref.sheet))}!"
     return ""
 
 
@@ -100,15 +102,7 @@ def normalize(ast: FormulaAst, origin: CellAddress) -> str:
     Total on parsed formulas; the origin is the address of the cell that
     holds the formula.
     """
-    return render_ast(ast, _r1c1_qualifier, lambda ref: _r1c1_cell(ref, origin))
-
-
-def _folded_qualifier(ref: Reference) -> str:
-    if ref.external is not None:
-        return f"[{ref.external.casefold()}]{_quote_name(ref.sheet.casefold())}!"
-    if ref.sheet is not None:
-        return f"{_quote_name(ref.sheet.casefold())}!"
-    return ""
+    return render_ast(ast, _qualifier, lambda ref: _r1c1_cell(ref, origin))
 
 
 def _qualifier_of(node: Ref | Range) -> Reference:
@@ -211,8 +205,8 @@ class _Shape:
                 self.holes.append(lambda key, at=at: number_literal(key[at]))
             else:
                 qual = _qualifier_of(piece)
-                texts[-1] += _r1c1_qualifier(qual)
-                folded[-1] += _folded_qualifier(qual)
+                texts[-1] += _qualifier(qual)
+                folded[-1] += _qualifier(qual, str.casefold)
                 if isinstance(piece, Ref):
                     self.holes.append(_corner(at, relative))
                 else:

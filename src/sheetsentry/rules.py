@@ -359,7 +359,8 @@ def check_hardcoded_constant(analysis: Analysis, cfg: RuleConfig) -> list[Findin
     appearances: dict[float, list[CellAddress]] = {}
     for cls in analysis.classes:
         cell = cells[cls.representative]
-        for value in sorted(set(shapes[cell[0]].literals(cell))):
+        # + 0.0 turns -0.0 into 0.0, so zero keys and reports unsigned
+        for value in sorted({value + 0.0 for value in shapes[cell[0]].literals(cell)}):
             appearances.setdefault(value, []).append(cls.representative)
     findings = []
     for value in sorted(appearances):

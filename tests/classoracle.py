@@ -28,7 +28,7 @@ from sheetsentry.formula import (
 from sheetsentry.metrics import branch_count, formula_cost
 from sheetsentry.normalize import (
     CopyClass,
-    _folded_qualifier,
+    _qualifier,
     _qualifier_of,
     _r1c1_cell,
     _relative_values,
@@ -41,7 +41,9 @@ from sheetsentry.workbook import CellAddress, Workbook
 def _identity(ast: FormulaAst, origin: CellAddress) -> str:
     """The normalized text with qualifiers casefolded, as the workbook
     matches sheet names: two formulas are copies when these agree."""
-    return render_ast(ast, _folded_qualifier, lambda ref: _r1c1_cell(ref, origin))
+    return render_ast(
+        ast, lambda ref: _qualifier(ref, str.casefold), lambda ref: _r1c1_cell(ref, origin)
+    )
 
 
 def copy_classes(wb: Workbook, asts: Formulas | None = None) -> list[CopyClass]:
@@ -114,7 +116,7 @@ def check_hardcoded_constant(
 ) -> list[Finding]:
     appearances: dict[float, list[CellAddress]] = {}
     for cls in classes:
-        for value in sorted(set(_literal_values(asts[cls.representative]))):
+        for value in sorted({value + 0.0 for value in _literal_values(asts[cls.representative])}):
             appearances.setdefault(value, []).append(cls.representative)
     findings = []
     for value in sorted(appearances):

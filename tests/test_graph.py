@@ -7,6 +7,7 @@ import random
 import pytest
 
 from sheetsentry.errors import UnknownNodeError
+from sheetsentry.formula import RangeRef, collect_references, parse_all_formulas
 from sheetsentry.graph import (
     RANGE_EXPANSION_CAP,
     CycleReport,
@@ -15,8 +16,8 @@ from sheetsentry.graph import (
     to_dot,
     topo_order,
 )
-from sheetsentry.workbook import CellAddress, Sheet
-from conftest import addr, make_workbook
+from sheetsentry.workbook import CellAddress, Sheet, load_workbook
+from conftest import FIXTURES, addr, make_workbook
 from evalgen import random_acyclic_workbook
 from test_evaluate import CYCLE_CASES, FORMULA_GRAPH_CASES
 
@@ -208,6 +209,27 @@ class TestDot:
         assert to_dot(build_graph(wb)) == to_dot(build_graph(wb))
 
 
+def reads_from_asts(wb):
+    """What each formula cell references, read from its filled AST rather
+    than from the graph's plans: a :class:`CellAddress` per cell reference
+    and a :class:`RangeNode` per range, on the sheet :meth:`Workbook.resolve`
+    names. References into other workbooks or missing sheets read nothing."""
+    asts = parse_all_formulas(wb)
+    refs = {}
+    for addr_ in asts:
+        refs[addr_] = []
+        for ref in collect_references(asts[addr_]):
+            sheet = wb.resolve(ref, addr_.sheet)
+            if not isinstance(sheet, Sheet):
+                continue
+            if isinstance(ref, RangeRef):
+                start, end = ref.start, ref.end
+                refs[addr_].append(RangeNode(sheet.name, start.col, start.row, end.col, end.row))
+            else:
+                refs[addr_].append(CellAddress(sheet.name, ref.col, ref.row))
+    return refs
+
+
 def expand_oracle(refs, key):
     """The cell-level view as it was built before one adjacency builder
     served both views: a set of neighbours per node, every list sorted by
@@ -249,7 +271,22 @@ def expand_oracle(refs, key):
     return ordered(preds), ordered(deps)
 
 
+# Copies of one range shape whose corners cross between copies, a range
+# written bottom-up, and references into another workbook, to a missing
+# sheet and to a sheet named in another case.
+SHAPE_CELLS = {
+    "S": {
+        "A1": 1,
+        "A2": "=A1+1",
+        **{f"B{r}": f"=SUM($A$3:A{r})" for r in range(1, 6)},
+        "C1": "=SUM(A4:A1)+[X]S!A1+Nope!A1+s!A2+SUM(b5:B1)",
+    },
+}
+
+
 def oracle_workbooks():
+    yield make_workbook(SHAPE_CELLS)
+    yield from (load_workbook(str(path)) for path in sorted(FIXTURES.glob("*.json")))
     yield from (make_workbook(cells) for cells in FORMULA_GRAPH_CASES.values())
     yield from (make_workbook({"S": cells}) for cells, _ in CYCLE_CASES.values())
     yield make_workbook(RANGE_CAP_CELLS)
@@ -271,7 +308,7 @@ class TestAdjacency:
     def test_queries_match_the_sorted_set_oracle(self):
         for wb in oracle_workbooks():
             g = build_graph(wb)
-            preds, deps = expand_oracle(g._refs, g.sort_key)
+            preds, deps = expand_oracle(reads_from_asts(wb), g.sort_key)
             assert g.nodes == sorted(preds, key=g.sort_key)
             assert g.node_count() == len(preds)
             for node in preds:

@@ -17,7 +17,7 @@ from sheetsentry.cli import main
 from sheetsentry.errors import DomainError
 from sheetsentry.evaluate import Engine
 import sheetsentry.formula as formula_module
-from sheetsentry.formula import _Parser, parse_formula, tokenize
+from sheetsentry.formula import _Parser, parse_all_formulas, parse_formula, tokenize
 from sheetsentry.metrics import (
     Analysis,
     branch_count,
@@ -320,7 +320,24 @@ class TestMemoryFollowsFormulas:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained / len(a.asts) <= 450
+        assert retained / len(a.asts) <= 250
+
+    def test_graph_keeps_nothing_per_formula_cell(self):
+        """``build_graph`` keeps a plan per template and sheet; the views
+        read each cell's nodes from its values when they are built."""
+        wb = workbook_from_dict(scale_grid_doc(40, 250))
+        asts = parse_all_formulas(wb)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = build_graph(wb, asts)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(asts) == 10_000 and graph.external_links == []
+        assert retained < 64 * 1024
 
 
 class TestParserWork:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -246,6 +247,16 @@ class TestHardcodedConstantRule:
         findings = self._findings({"B1": "=A1+-65", "B2": "=A2*-65", "B3": "=-65+A3"})
         assert len(findings) == 1
         assert findings[0].evidence_dict()["constant"] == -65.0
+
+    def test_zero_is_unsigned_whatever_the_reading_order(self):
+        cfg = RuleConfig(const_whitelist=frozenset())
+        negative_first = self._findings({"B1": "=A1*-0", "B2": "=A2+0*3", "B3": "=0+A3*4"}, cfg)
+        positive_first = self._findings({"B1": "=A1+0*3", "B2": "=A2*-0", "B3": "=0+A3*4"}, cfg)
+        for findings in (negative_first, positive_first):
+            [finding] = findings
+            assert finding.message.startswith("literal 0 appears in 3 distinct formulas")
+            assert math.copysign(1.0, finding.evidence_dict()["constant"]) == 1.0
+        assert negative_first == positive_first
 
 
 class TestDeepNestingRule:
