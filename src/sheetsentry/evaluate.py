@@ -29,8 +29,13 @@ holds the formula, so its evaluator reads that sheet without asking), and
 :meth:`Sheet.column_slices` finds a range's
 cells in the sheet's column index, built once per sheet on first use. A
 range read therefore costs what it returns, not the area it covers: it
-visits only the columns inside it and bisects each one's sorted rows. An
-exact-match ``VLOOKUP`` is answered from a hash index
+visits only the columns inside it and bisects each one's sorted rows.
+``SUM``, ``AVERAGE``, ``COUNT``, ``MIN`` and ``MAX`` of a running total
+(one column, absolute top row: :func:`sheetsentry.graph.running_total`)
+read a prefix record kept per sheet, column and head, which reads each
+cell of the column once however many totals cover it; its sums are
+Shewchuk's exact partials, so each equals the ``math.fsum`` of the range.
+An exact-match ``VLOOKUP`` is answered from a hash index
 of its key column over the range's rows, built on first use and shared by
 every lookup over the same span; it gives the same answer, error and taint
 as a scan of the key column in row order. (The cost model in
@@ -63,7 +68,7 @@ from .formula import (
     Unary,
     parse_all_formulas,
 )
-from .graph import DepGraph, build_graph, schedule
+from .graph import DepGraph, build_graph, running_total, schedule
 from .workbook import (
     BLANK,
     CellAddress,
@@ -160,6 +165,90 @@ class _LookupIndex:
         return min((pos for pos in hits if pos is not None), default=None)
 
 
+@dataclass(slots=True)
+class _Prefix:
+    """Running aggregates of one column's stored cells from position ``lo``
+    down, as far as evaluation has asked (positions index the column's
+    stored cells).
+
+    ``runs[k]`` describes the cells ``lo .. lo + k``: the ``fsum`` of their
+    numbers, how many numbers there are, and the least and greatest of
+    them, the first kept among equals as ``min`` and ``max`` keep it.
+    ``partials`` are Shewchuk's exact partial sums of the numbers so far,
+    the algorithm of ``math.fsum``, so each sum is the ``fsum`` of the
+    numbers down to it, bit for bit. ``stop`` is the first position a run
+    cannot describe: the end of the column, or a number that made a partial
+    NaN or infinite (a NaN or infinite input, or an overflow), from which on
+    the range is read directly. ``error`` is the first error with its
+    position, and ``tainted_from`` the first position holding a tainted
+    formula cell.
+    """
+
+    lo: int
+    stop: int
+    runs: list[tuple[float, int, float, float]] = field(default_factory=list)
+    partials: list[float] = field(default_factory=list)
+    error: tuple[int, CellValue] | None = None
+    tainted_from: int | None = None
+
+    def extend(self, values: list[CellValue], tainted_from: int | None) -> None:
+        """Describe the next ``len(values)`` positions, whose values these
+        are; ``tainted_from`` is the first of them holding a tainted formula
+        cell, if any."""
+        if self.tainted_from is None:
+            self.tainted_from = tainted_from
+        runs, partials = self.runs, self.partials
+        total, count, least, most = runs[-1] if runs else (0.0, 0, math.inf, -math.inf)
+        for pos, val in enumerate(values, start=self.lo + len(runs)):
+            kind = val.kind
+            if kind is ValueKind.NUMBER:
+                x = num = val.value
+                i = 0
+                for y in partials:  # math.fsum's loop, partials kept in place
+                    if abs(x) < abs(y):
+                        x, y = y, x
+                    hi = x + y
+                    lo = y - (hi - x)
+                    if lo:
+                        partials[i] = lo
+                        i += 1
+                    x = hi
+                del partials[i:]
+                if x:
+                    partials.append(x)
+                try:
+                    if not math.isfinite(x):  # a NaN or infinite number, or an overflow
+                        raise OverflowError
+                    total = math.fsum(partials)
+                except OverflowError:  # as fsum over the range would be
+                    self.stop = pos
+                    return
+                count += 1
+                if num < least:
+                    least = num
+                if num > most:
+                    most = num
+            elif kind is _ERROR and self.error is None:
+                self.error = (pos, val)
+            runs.append((total, count, least, most))
+
+    def value(self, name: str, hi: int) -> CellValue:
+        """``name`` (``SUM``, ``AVERAGE``, ``COUNT``, ``MIN`` or ``MAX``) over
+        positions ``lo .. hi - 1``, all described, as a read would give it."""
+        total, count, least, most = self.runs[hi - self.lo - 1]
+        if name == "COUNT":
+            return CellValue.number(float(count))
+        if self.error is not None and self.error[0] < hi:
+            return self.error[1]
+        if name == "SUM":
+            return _finite(total)
+        if name == "AVERAGE":
+            return _finite(total / count) if count else _DIV0
+        if not count:
+            return CellValue.number(0.0)
+        return _finite(least if name == "MIN" else most)
+
+
 class Engine:
     """Evaluates one workbook; reusable for multiple queries."""
 
@@ -175,6 +264,7 @@ class Engine:
         self.values: dict[CellAddress, CellValue] = {}
         self.tainted: set[CellAddress] = set()
         self._lookups: dict[tuple[str, int, int, int], _LookupIndex] = {}
+        self._prefixes: dict[tuple[str, int, int], _Prefix] = {}
         # one evaluator per template, compiled on first use
         self._compiled: dict[Template, Evaluator] = {}
         self._current_tainted = False
@@ -185,18 +275,18 @@ class Engine:
     def run(self) -> None:
         """Evaluate every formula cell, once.
 
-        The formula cells :attr:`DepGraph.formulas` leaves out read only
-        inputs and go first, in reading order; then its cells follow in
-        :func:`schedule`'s order. Any order that puts precedents first gives
-        the same values, which the tests check by scheduling with the
-        reversed key. Formula cells on a reference cycle get ``#CIRC!``
-        before anything downstream of them is evaluated.
+        The formula cells the scheduling view (:attr:`DepGraph.compact`)
+        leaves out read only inputs and go first, in reading order; then its
+        cells follow in :func:`schedule`'s order. Any order that puts
+        precedents first gives the same values, which the tests check by
+        scheduling with the reversed key. Formula cells on a reference cycle
+        get ``#CIRC!`` before anything downstream of them is evaluated.
         """
         if self._ran:
             return
         cells = self.asts.cells
         sheets = {sheet.name: sheet for sheet in self.wb.sheets}
-        order, in_cycle = schedule(self.graph.formulas)
+        order, in_cycle = schedule(self.graph.compact)
         for node in in_cycle:
             if node in cells:
                 self.values[node] = _CIRC
@@ -269,6 +359,20 @@ class Engine:
             out.append(got)
         return out
 
+    def _read_apart(self, column: Column, lo: int, hi: int) -> tuple[list[CellValue], int | None]:
+        """:meth:`_read` for a record kept across cells, which leaves the
+        current cell untainted: the values, and the position of the first
+        tainted formula cell among them, if any."""
+        outer, self._current_tainted = self._current_tainted, False
+        values = self._read(column, lo, hi)
+        tainted_from = None
+        if self._current_tainted:
+            read = column.formulas[column.before[lo]:column.before[hi]]
+            first = next(a for a in read if a in self.tainted)
+            tainted_from = bisect_left(column.rows, first.row)
+        self._current_tainted = outer
+        return values, tainted_from
+
     def _iter_range_cells(self, rng: RangeRef, origin_sheet: str) -> list[CellValue] | None:
         """Values of the stored cells inside a range, in (row, col) order.
 
@@ -288,6 +392,32 @@ class Engine:
             merged.extend(zip(column.rows[lo:hi], self._read(column, lo, hi)))
         merged.sort(key=itemgetter(0))
         return [val for _, val in merged]
+
+    def _prefix_aggregate(self, name: str, sheet: Sheet, col: int, head: int, tail: int) -> CellValue | None:
+        """``name`` over rows ``head .. tail`` of column ``col`` of ``sheet``,
+        from the column's prefix record from ``head``; ``None`` where the
+        record stops and the range must be read directly.
+
+        The record is extended in row order, reading each cell once, as far
+        as the tail asks; the schedule puts every formula cell in the range
+        first, as it does for a direct read. A result is the one a direct
+        read gives, and taints the same way.
+        """
+        slices = sheet.column_slices(col, head, col, tail)
+        if not slices:
+            return _aggregate(name, [])
+        [(column, lo, hi)] = slices
+        prefix = self._prefixes.get((sheet.name, col, lo))
+        if prefix is None:
+            prefix = self._prefixes[sheet.name, col, lo] = _Prefix(lo, len(column.cells))
+        start = lo + len(prefix.runs)
+        if start < hi <= prefix.stop:
+            prefix.extend(*self._read_apart(column, start, hi))
+        if hi > prefix.stop:
+            return None
+        if prefix.tainted_from is not None and prefix.tainted_from < hi:
+            self._current_tainted = True
+        return prefix.value(name, hi)
 
     # -- lookups
 
@@ -321,12 +451,8 @@ class Engine:
         if not slices:
             return _LookupIndex([], stop=0)
         [(column, lo, hi)] = slices
-        outer = self._current_tainted
-        self._current_tainted = False
-        values = self._read(column, lo, hi)
-        read_tainted, self._current_tainted = self._current_tainted, outer
-
-        index = _LookupIndex(column.rows, stop=hi)
+        values, tainted_from = self._read_apart(column, lo, hi)
+        index = _LookupIndex(column.rows, stop=hi, tainted_from=tainted_from)
         first = index.first
         for pos, val in enumerate(values, start=lo):
             kind = val.kind
@@ -346,10 +472,6 @@ class Engine:
                 # a scan never reads past the first error
                 index.stop, index.error = pos, val
                 break
-        if read_tainted:
-            read = column.formulas[column.before[lo]:column.before[hi]]
-            first = next(a for a in read if a in self.tainted)
-            index.tainted_from = bisect_left(column.rows, first.row)
         return index
 
 
@@ -606,8 +728,15 @@ def _compile_aggregate(node: Call, template: Template) -> Evaluator:
     name = node.name
     count_only = name == "COUNT"
     args = _compile_args(node, template)
+    running = None
+    if len(node.args) == 1 and isinstance(node.args[0], Range):
+        running = _compile_running(name, node.args[0], template)
 
     def aggregate(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+        if running is not None:
+            got = running(engine, cell, sheet)
+            if got is not None:
+                return got
         numbers: list[float] = []
         for rng, evaluator in args:
             if rng is not None:
@@ -636,6 +765,25 @@ def _compile_aggregate(node: Call, template: Template) -> Evaluator:
             numbers.append(num)
         return _aggregate(name, numbers)
     return aggregate
+
+
+def _compile_running(name: str, node: Range, template: Template) -> Callable:
+    """What aggregate ``name`` of the sole range ``node`` gives in a cell
+    where that range is a :func:`running_total`, from the engine's prefix
+    record; ``None`` elsewhere, or where the range must be read directly."""
+    at, flags = template.slots[id(node)]
+    qual = node.ref.start
+    local = qual.sheet is None and qual.external is None
+
+    def running(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue | None:
+        if not running_total(flags, cell, at):
+            return None
+        found = sheet if local else engine._sheet(qual, sheet.name)
+        if found is None:
+            return _REF_ERR
+        r1, r2 = cell[at + 1], cell[at + 3]
+        return engine._prefix_aggregate(name, found, cell[at], min(r1, r2), max(r1, r2))
+    return running
 
 
 def _aggregate(name: str, numbers: list[float]) -> CellValue:

@@ -98,7 +98,7 @@ class Token(NamedTuple):
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _STRING = r'"(?:[^"]|"")*"'
 _REF = r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]{0,6})(?![A-Za-z0-9_.$])"
-_NAME = r"[A-Za-z_][A-Za-z0-9_.]*|'[^']*'"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*|'(?:[^']|'')*'"
 
 _TOKEN_RE = re.compile(
     rf"""
@@ -671,7 +671,7 @@ class _Parser:
     def ident_atom(self) -> FormulaAst:
         tok = self.expect(_K.IDENT)
         if tok.lexeme.startswith("'"):
-            inner = tok.lexeme[1:-1]
+            inner = tok.lexeme[1:-1].replace("''", "'")
             self.expect(_K.BANG)
             if inner.startswith("["):
                 close = inner.find("]")
@@ -755,15 +755,15 @@ def _needs_quote(name: str) -> bool:
 
 
 def _qualifier(ref: Reference) -> str:
+    """The workbook and sheet prefix of ``ref``; a quoted name doubles its ``'``."""
     if ref.external is not None:
-        if _needs_quote(ref.external) or (ref.sheet and _needs_quote(ref.sheet)):
-            return f"'[{ref.external}]{ref.sheet}'!"
-        return f"[{ref.external}]{ref.sheet}!"
-    if ref.sheet is not None:
-        if _needs_quote(ref.sheet):
-            return f"'{ref.sheet}'!"
-        return f"{ref.sheet}!"
-    return ""
+        name = f"[{ref.external}]{ref.sheet}"
+        quote = _needs_quote(ref.external) or (ref.sheet and _needs_quote(ref.sheet))
+    elif ref.sheet is not None:
+        name, quote = ref.sheet, _needs_quote(ref.sheet)
+    else:
+        return ""
+    return "'" + name.replace("'", "''") + "'!" if quote else name + "!"
 
 
 def render_a1(ref: Reference) -> str:

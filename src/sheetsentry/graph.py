@@ -13,15 +13,21 @@ from them, each on first use, and keep only their adjacency:
   covered cell up to a cap; a larger range stays a single aggregate
   :class:`RangeNode`, which keeps ordering sound while staying coarse for
   precedent queries. The aggregate reads the formula cells inside it.
-- :attr:`DepGraph.formulas`, the links between formula cells; a formula
-  cell on no link is no node. The engine schedules over it.
+- :attr:`DepGraph.compact`, the scheduling view the engine orders
+  evaluation by. Its nodes are the formula cells that read or feed a
+  formula cell, plus chains of prefix nodes: a :func:`running_total`
+  (one column, absolute top row, as in a copied ``=SUM($B$1:B9)``) reads
+  one node of its column's chain, which reads the previous node and one
+  formula cell. Its edges grow with formula cells plus ranges, not with
+  their product (TACO's fixed-head, relative-tail pattern: Tang et al.,
+  "Efficient and Compact Spreadsheet Formula Graphs", ICDE 2023).
 
-Both views find the formula cells inside a range in one way,
-:func:`_formula_cells`, through the sheet's column index
-(:meth:`Sheet.column_slices`): a bisection per occupied column of the
-range, not a walk over its area or over every formula cell. One builder,
-:func:`_adjacency`, turns what each view's nodes read into unsorted
-adjacency lists; the queries sort what they return.
+Both views find the formula cells inside a range in one way, through the
+sheet's column index (:meth:`Sheet.column_slices`): a bisection per
+occupied column of the range, not a walk over its area or over every
+formula cell. One builder, :func:`_adjacency`, turns what each view's
+nodes read into unsorted adjacency lists; the queries sort what they
+return.
 
 Every reference is resolved by :meth:`Workbook.resolve`, as in the
 evaluator. References into other workbooks, cells and ranges alike, become
@@ -30,7 +36,8 @@ lives outside this file's audit boundary; they evaluate to ``#REF!``.
 References to missing sheets produce no edges either.
 
 :func:`schedule` is the one scheduler: a Kahn loop that orders every node
-off the reference cycles and returns the cycle nodes beside that order.
+but the cells on reference cycles and returns those cells beside that
+order.
 Both :func:`topo_order` and the recomputation engine use it; one iterative
 Tarjan (:func:`cyclic_components`) finds the cycles.
 """
@@ -94,17 +101,17 @@ class CycleReport:
 class DepGraph:
     """Precedent/dependent graph over one workbook.
 
-    ``reads`` and ``formula_reads`` say, when called, what each node of the
-    cell-level view and of :attr:`formulas` reads. Each view calls its
+    ``reads`` and ``compact_reads`` say, when called, what each node of the
+    cell-level view and of :attr:`compact` reads. Each view calls its
     function on first use and keeps only the adjacency :func:`_adjacency`
     makes of the result; the queries sort what they return.
     """
 
     def __init__(
-        self, reads: Reads, formula_reads: Reads, external_links: list[ExternalLink], wb: Workbook
+        self, reads: Reads, compact_reads: Reads, external_links: list[ExternalLink], wb: Workbook
     ) -> None:
         self._reads = reads
-        self._formula_reads = formula_reads
+        self._compact_reads = compact_reads
         self.external_links = external_links
         self.wb = wb
 
@@ -121,16 +128,19 @@ class DepGraph:
         return self._view[1]
 
     @cached_property
-    def formulas(self) -> DepGraph:
-        """The links between formula cells, which is all evaluation has to order.
+    def compact(self) -> DepGraph:
+        """The scheduling view: what evaluation has to order, and no more.
 
-        It has an edge u -> v exactly when formula cell v reads formula cell
-        u, directly or through a range, and no node off those edges; no range
-        is expanded and inputs and blanks never become nodes. Cycle
-        membership of formula cells is the same as in the full view. Its own
-        :attr:`formulas` has the same links.
+        Its nodes are the formula cells that read or feed another formula
+        cell and the prefix chains of the running totals over them
+        (:func:`_link_formulas`). Formula cell v comes after formula cell u
+        in it exactly when v reads u, directly or through a range, so any
+        order that puts its precedents first evaluates correctly; no range
+        is expanded and inputs and blanks never become nodes. The formula
+        cells on its cycles are those of the full view. Its own
+        :attr:`compact` is the same view.
         """
-        reads = self._formula_reads
+        reads = self._compact_reads
         return DepGraph(reads, reads, self.external_links, self.wb)
 
     # -- ordering helpers
@@ -216,39 +226,55 @@ def build_graph(wb: Workbook, asts: Formulas | None = None) -> DepGraph:
             external_links.append(ExternalLink(addr, book, corners[0].sheet or "", target))
     references = partial(_references, cells, plans)
     reads = partial(_expand, references, cells)
-    return DepGraph(reads, partial(_link_formulas, references), external_links, wb)
+    return DepGraph(reads, partial(_link_formulas, references, cells), external_links, wb)
 
 
 def _resolve(wb: Workbook, template: Template, origin_sheet: str) -> tuple[list, list]:
     """The references of ``template`` on ``origin_sheet``, in source order,
-    split in two. Per local reference: the stored sheet it reads and the
-    indices of the values of its first and last corner. Per reference into
-    another workbook: the leaf and that workbook's name. References to
-    missing sheets are left out."""
+    split in two. Per local reference: the stored sheet it reads, the index
+    of its first value and, for a range, the ``$`` flags of its corners as
+    written (``None`` for a cell). Per reference into another workbook: the
+    leaf and that workbook's name. References to missing sheets are left
+    out."""
     local, external = [], []
     for node in template.refs:
         found = wb.resolve(node.ref, origin_sheet)
         if isinstance(found, str):
             external.append((node, found))
         elif found is not None:
-            at = template.slots[id(node)][0]
-            local.append((found, at, at if type(node) is Ref else at + 2))
+            at, flags = template.slots[id(node)]
+            local.append((found, at, None if type(node) is Ref else flags))
     return local, external
+
+
+def running_total(flags: tuple[bool, ...], cell: tuple, at: int) -> bool:
+    """Whether the range whose corners' values sit at ``at`` in formula cell
+    ``cell``, written with the ``$`` flags ``flags``, reads a prefix of one
+    column: it spans one column, and its top row, once the corners are
+    ordered, is absolute (``$B$2:B9``, ``B9:B$2``). Copies of such a range
+    share their head, which the scheduling view's prefix chains and the
+    engine's prefix records are kept by."""
+    if cell[at] != cell[at + 2]:
+        return False
+    return flags[1] if cell[at + 1] <= cell[at + 3] else flags[3]
 
 
 def _references(
     cells: dict[CellAddress, tuple], plans: dict[tuple[Template, str], tuple[list, list]]
-) -> Iterator[tuple[CellAddress, Sheet, int, int, int, int]]:
+) -> Iterator[tuple[CellAddress, Sheet, int, int, int, int, bool]]:
     """Every local reference of every formula cell, in cell and source order:
-    the cell, the sheet read and the rectangle read, as left column, top
-    row, right column and bottom row. A cell reference is a 1x1 rectangle."""
+    the cell, the sheet read, the rectangle read, as left column, top row,
+    right column and bottom row, and whether it is a :func:`running_total`.
+    A cell reference is a 1x1 rectangle."""
     for addr, cell in cells.items():
-        for sheet, at, last in plans[cell[0], addr.sheet][0]:
-            c1, r1, c2, r2 = cell[at], cell[at + 1], cell[last], cell[last + 1]
-            if at == last:
-                yield addr, sheet, c1, r1, c1, r1
+        for sheet, at, flags in plans[cell[0], addr.sheet][0]:
+            c1, r1 = cell[at], cell[at + 1]
+            if flags is None:
+                yield addr, sheet, c1, r1, c1, r1, False
             else:
-                yield addr, sheet, min(c1, c2), min(r1, r2), max(c1, c2), max(r1, r2)
+                c2, r2 = cell[at + 2], cell[at + 3]
+                yield (addr, sheet, min(c1, c2), min(r1, r2), max(c1, c2), max(r1, r2),
+                       running_total(flags, cell, at))
 
 
 def _expand(references: Callable, cells: dict[CellAddress, tuple]) -> dict[Node, list[Node]]:
@@ -260,7 +286,7 @@ def _expand(references: Callable, cells: dict[CellAddress, tuple]) -> dict[Node,
     formula cells inside it (:func:`_formula_cells`).
     """
     reads: dict[Node, list[Node]] = {addr: [] for addr in cells}
-    for addr, sheet, c1, r1, c2, r2 in references():
+    for addr, sheet, c1, r1, c2, r2, _ in references():
         if (c2 - c1 + 1) * (r2 - r1 + 1) > RANGE_EXPANSION_CAP:
             node = RangeNode(sheet.name, c1, r1, c2, r2)
             reads[addr].append(node)
@@ -272,23 +298,69 @@ def _expand(references: Callable, cells: dict[CellAddress, tuple]) -> dict[Node,
     return reads
 
 
-def _link_formulas(references: Callable) -> dict[Node, list[Node]]:
-    """What each formula cell reads of the formula cells, for the cells that
-    read any. A cell reference is looked up in its sheet's cell store, so
-    no node is made for a read of an input; a range reads the formula cells
-    inside it (:func:`_formula_cells`)."""
+def _link_formulas(references: Callable, cells: dict[CellAddress, tuple]) -> dict[Node, list[Node]]:
+    """What each node of the scheduling view reads, for the nodes that read any.
+
+    A formula cell reads the formula cells it references, never an input;
+    a formula cell it names is the key it has in ``cells``. A range reads the
+    formula cells inside it (:func:`_formula_cells`), except a
+    :func:`running_total`, which reads one node of a prefix chain
+    (:func:`_prefix_node`). Every path through a chain ends at a formula
+    cell inside the range that reads it, so the formula cells on a cycle
+    are those of the cell-level view.
+    """
     reads: dict[Node, list[Node]] = {}
-    for addr, sheet, c1, r1, c2, r2 in references():
+    chains: dict[tuple[str, int, int], list[Node]] = {}
+    addresses = None  # each formula cell's own address, by a plain (sheet, col, row) key
+    for addr, sheet, c1, r1, c2, r2, running in references():
         if c1 == c2 and r1 == r2:
             cell = sheet.cells.get((c1, r1))
             if cell is None or cell.formula is None:
                 continue
-            found = [CellAddress(sheet.name, c1, r1)]
+            if addresses is None:
+                addresses = dict(zip(cells, cells))
+            found = [addresses[sheet.name, c1, r1]]
+        elif running:
+            found = _prefix_node(reads, chains, sheet, c1, r1, r2)
         else:
             found = _formula_cells(sheet, c1, r1, c2, r2)
         if found:
-            reads[addr] = reads[addr] + found if addr in reads else found
+            reads.setdefault(addr, []).extend(found)
     return reads
+
+
+def _prefix_node(
+    reads: dict[Node, list[Node]], chains: dict[tuple[str, int, int], list[Node]],
+    sheet: Sheet, col: int, head: int, tail: int,
+) -> list[Node]:
+    """The chain node standing for the formula cells of column ``col`` of
+    ``sheet`` from row ``head`` to row ``tail``, if there are any.
+
+    There is one chain per sheet, column and first formula cell below the
+    head, extended in ``chains`` and ``reads`` as far as ``tail`` asks. Its
+    first node is that formula cell, and its *k*-th node a
+    :class:`RangeNode` that reads node *k* - 1 and the column's next
+    formula cell. So copied running totals cost an edge each plus two per
+    formula cell they cover, not the product of the two.
+    """
+    slices = sheet.column_slices(col, head, col, tail)
+    if not slices:
+        return []
+    [(column, lo, hi)] = slices
+    first, last = column.before[lo], column.before[hi]
+    if first == last:
+        return []
+    formulas = column.formulas
+    chain = chains.get((sheet.name, col, first))
+    if chain is None:
+        chain = chains[sheet.name, col, first] = [formulas[first]]
+    top = formulas[first].row
+    while len(chain) < last - first:
+        cell = formulas[first + len(chain)]
+        node = RangeNode(sheet.name, col, top, col, cell.row)
+        reads[node] = [chain[-1], cell]
+        chain.append(node)
+    return [chain[last - first - 1]]
 
 
 def _formula_cells(sheet: Sheet, c1: int, r1: int, c2: int, r2: int) -> list[CellAddress]:
@@ -325,15 +397,18 @@ def _adjacency(
     return reads, deps
 
 
-def schedule(g: DepGraph) -> tuple[list[Node], set[Node]]:
-    """Evaluation order of every node that is not on a cycle, plus the cycle nodes.
+def schedule(g: DepGraph) -> tuple[list[Node], set[CellAddress]]:
+    """Evaluation order of every node but the cells on a cycle, plus those cells.
 
     A Kahn loop that pops the ready node with the smallest ``g.sort_key``
     (sheet order, row, column), so every edge between two ordered nodes
     goes forward and ties break the same way on every run. When it stalls,
     the remaining nodes sit on or downstream of cycles: the edges leaving
-    cycle nodes are released once and the loop goes on, so nodes downstream
-    of a cycle come after everything else they depend on.
+    the cells on cycles are released once and the loop goes on, so nodes
+    downstream of a cycle come after everything else they depend on. A
+    :class:`RangeNode` holds no value but stands for the cells it reads, so
+    it is ordered even on a cycle, after all of them: a node that reads it
+    never comes before a cell it stands for.
     """
     key = g.sort_key
     deps = g._deps
@@ -366,7 +441,7 @@ def schedule(g: DepGraph) -> tuple[list[Node], set[Node]]:
 
     drain()
     if len(order) < len(indegree):
-        in_cycle = cycle_nodes(g)
+        in_cycle = {node for node in cycle_nodes(g) if type(node) is not RangeNode}
         for node in in_cycle:
             release(node)
         drain()

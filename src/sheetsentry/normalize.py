@@ -68,7 +68,7 @@ class CopyClass:
 def _quote_name(name: str) -> str:
     if all(ch.isalnum() or ch in "_." for ch in name) and name and not name[0].isdigit():
         return name
-    return f"'{name}'"
+    return "'" + name.replace("'", "''") + "'"
 
 
 def _axis(letter: str, absolute: bool, value: int, origin: int) -> str:

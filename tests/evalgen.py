@@ -5,7 +5,8 @@ result is acyclic by construction. The oracle evaluates by recursive
 substitution with memoization -- no dependency graph, no topological
 order -- and implements its own arithmetic for the restricted grammar the
 generator emits (numbers, blanks, + - * /, comparisons inside IF
-conditions, IF, SUM over a column range).
+conditions, IF, SUM over a column range of inputs, and running totals
+``SUM($C$1:C9)`` over a column of formulas).
 """
 
 from __future__ import annotations
@@ -53,9 +54,14 @@ def random_acyclic_workbook(rng: random.Random, max_cells: int = 50) -> Workbook
         elif kind < 0.75:
             cmp_op = rng.choice(["<", "<=", ">", ">=", "=", "<>"])
             src = f"=IF({operand()}{cmp_op}{operand()},{operand()},{operand()})"
-        else:
+        elif kind < 0.87 or (col == 2 and row == 1):
             hi = rng.randrange(1, input_rows + 1)
             src = f"=SUM(A1:A{hi})"
+        else:
+            # a running total over a formula column, read up to a created row
+            over = rng.randrange(2, col + (row > 1))
+            last = row - 1 if over == col else 12
+            src = f"=SUM(${chr(64 + over)}$1:{chr(64 + over)}{rng.randrange(1, last + 1)})"
         name = f"{chr(64 + col)}{row}"
         cells[(col, row)] = Cell(formula=src, cached=BLANK)
         created.append(name)
@@ -115,12 +121,16 @@ def oracle_evaluate(wb: Workbook) -> dict[CellAddress, object]:
             branch = then_part if flag else else_part
             return atom_or_error(branch)
         if body.startswith("SUM("):
-            hi = int(body[len("SUM(A1:A") : -1])
+            # SUM(A1:A9) over inputs, or SUM($C$1:C9) over formulas
+            start, end = body[4:-1].split(":")
+            letter, hi = end[0], int(end[1:])
             total = []
             for row in range(1, hi + 1):
-                cell = sheet.cells.get((1, row))
-                if cell is not None:
-                    total.append(cell.cached.value)
+                if (ord(letter) - 64, row) in sheet.cells:
+                    value = lookup(f"{letter}{row}")
+                    if isinstance(value, str):
+                        return value  # the first error in row order
+                    total.append(value)
             return math.fsum(total)
         return eval_binary(body)
 

@@ -2,8 +2,10 @@
 
 :class:`ScanEngine` reads a range by filtering a sorted list of every
 stored cell on the sheet, and answers ``VLOOKUP`` by scanning the key
-column in row order. The engine itself reads ranges column by column and
-answers lookups from a per-span hash index; tests compare the two.
+column in row order. It keeps no prefix records either, so a running total
+is read in full like any other range. The engine itself reads ranges
+column by column, answers running totals from per-column prefix records
+and lookups from a per-span hash index; tests compare the two.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ def _stored(sheet: Sheet) -> list[tuple[int, int]]:
 
 
 class ScanEngine(Engine):
+    def _prefix_aggregate(self, name, sheet, col, head, tail):
+        return None  # every running total is read as a range
+
     def _iter_range_cells(self, rng: RangeRef, origin_sheet: str):
         found = self._sheet(rng, origin_sheet)
         if found is None:

@@ -21,6 +21,7 @@ from sheetsentry.graph import (
 from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
 
 from conftest import addr, make_workbook, reverse_sort_key
+from formulaview import formula_view
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
 
 
@@ -294,7 +295,7 @@ class TestCycleScheduling:
         workbooks = [make_workbook({"S": cells}) for cells, _ in CYCLE_CASES.values()]
         workbooks += [random_acyclic_workbook(rng) for _ in range(30)]
         for wb in workbooks:
-            for g in (build_graph(wb), build_graph(wb).formulas):
+            for g in (build_graph(wb), formula_view(build_graph(wb)), build_graph(wb).compact):
                 assert schedule(g) == heap_schedule(g, g.sort_key)
                 reverse_sort_key(g)
                 assert schedule(g) == heap_schedule(g, g.sort_key)
@@ -303,7 +304,7 @@ class TestCycleScheduling:
 def recompute_reversed(wb) -> dict:
     """``recompute_workbook`` with the engine popping the largest ready node."""
     engine = Engine(wb)
-    reverse_sort_key(engine.graph.formulas)
+    reverse_sort_key(engine.graph.compact)
     engine.run()
     return dict(engine.values)
 
@@ -489,6 +490,15 @@ FORMULA_GRAPH_CASES = {
             )
         },
     },
+    # the prefix node B1:B2 sits on the cycle B2 -> D1 -> B2, and B1, which
+    # it also stands for, sits downstream of another cycle (H1, H2): E2 must
+    # still come after B1
+    "prefix_chain_on_a_cycle": {
+        "S": {
+            "H1": "=H2+1", "H2": "=H1+1", "B1": "=H1*1", "B2": "=D1",
+            "D1": "=SUM($B$1:B2)", "E2": "=SUM($B$1:B2)", "E3": "=MAX(B$1:B2)",
+        },
+    },
 }
 
 
@@ -510,7 +520,7 @@ def values_over_full_view(wb, pop: str) -> dict:
     """Recompute with the engine scheduled over the cell-level view,
     popping the smallest ("min") or the largest ("max") ready node."""
     g = build_graph(wb)
-    g.formulas = g
+    g.compact = g
     if pop == "max":
         reverse_sort_key(g)
     engine = Engine(wb, graph=g)
@@ -523,19 +533,20 @@ class TestFormulaGraph:
     def test_edges_match_the_full_view(self, name):
         wb = make_workbook(FORMULA_GRAPH_CASES[name])
         g = build_graph(wb)
+        formulas = formula_view(g)
         edges = full_view_formula_edges(g)
-        assert set(g.formulas.nodes) == {node for edge in edges for node in edge}
-        assert set(g.formulas.edges()) == edges
-        for node in g.formulas.nodes:
-            assert g.formulas.precedents(node) == sorted(
-                g.formulas.precedents(node), key=g.sort_key
+        assert set(formulas.nodes) == {node for edge in edges for node in edge}
+        assert set(formulas.edges()) == edges
+        for node in formulas.nodes:
+            assert formulas.precedents(node) == sorted(
+                formulas.precedents(node), key=g.sort_key
             )
 
     @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
     def test_cycle_nodes_match_the_full_view(self, name):
         wb = make_workbook(FORMULA_GRAPH_CASES[name])
         g = build_graph(wb)
-        assert cycle_nodes(g.formulas) == cycle_nodes(g) & set(parse_all_formulas(wb))
+        assert cycle_nodes(formula_view(g)) == cycle_nodes(g) & set(parse_all_formulas(wb))
 
     @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
     @pytest.mark.parametrize("pop", ["min", "max"])
@@ -548,28 +559,56 @@ class TestFormulaGraph:
 
     def test_cases_exercise_what_they_name(self):
         own = build_graph(make_workbook(FORMULA_GRAPH_CASES["range_contains_own_cell"]))
-        assert cycle_nodes(own.formulas) == {addr("S", "A3")}
+        assert cycle_nodes(formula_view(own)) == {addr("S", "A3")}
         capped = build_graph(make_workbook(FORMULA_GRAPH_CASES["capped_range_over_formula"]))
         assert any(isinstance(n, RangeNode) for n in capped.nodes)
-        assert addr("S", "A5") in capped.formulas.precedents(addr("S", "B1"))
+        assert addr("S", "A5") in formula_view(capped).precedents(addr("S", "B1"))
         cross = build_graph(make_workbook(FORMULA_GRAPH_CASES["cross_sheet_case"]))
-        assert cross.formulas.precedents(addr("Calc", "A1")) == [
+        assert formula_view(cross).precedents(addr("Calc", "A1")) == [
             addr("Data", "A2"), addr("Data", "B2"),
         ]
+        chained = build_graph(make_workbook(FORMULA_GRAPH_CASES["prefix_chain_on_a_cycle"]))
+        on_cycle = cycle_nodes(chained.compact)
+        assert RangeNode("S", 2, 1, 2, 2) in on_cycle and addr("S", "B1") not in on_cycle
+        assert addr("S", "B1") in chained.compact.precedents(RangeNode("S", 2, 1, 2, 2))
 
     def test_nodes_are_the_linked_formula_cells(self):
         wb = make_workbook(FORMULA_GRAPH_CASES["running_total_over_formulas"])
-        g = build_graph(wb).formulas
+        g = formula_view(build_graph(wb))
         assert set(g.nodes) == {addr("S", f"{c}{r}") for c in "BC" for r in range(1, 6)}
         assert g.precedents(addr("S", "C3")) == [addr("S", f"B{r}") for r in (1, 2, 3)]
         assert g.dependents(addr("S", "C3")) == []
-        own = build_graph(make_workbook({"S": {"A1": "=A1+1", "B1": "=1"}})).formulas
+        own = formula_view(build_graph(make_workbook({"S": {"A1": "=A1+1", "B1": "=1"}})))
         assert own.nodes == [addr("S", "A1")]
+
+    def test_compact_view_chains_running_totals(self):
+        g = build_graph(make_workbook(FORMULA_GRAPH_CASES["running_total_over_formulas"])).compact
+        chain = [addr("S", "B1")] + [RangeNode("S", 2, 1, 2, r) for r in range(2, 6)]
+        assert set(g.nodes) == {addr("S", f"{c}{r}") for c in "BC" for r in range(1, 6)} | set(chain)
+        for k in range(1, 5):
+            assert g.precedents(chain[k]) == [chain[k - 1], addr("S", f"B{k + 1}")]
+        assert [g.precedents(addr("S", f"C{r}")) for r in range(1, 6)] == [[n] for n in chain]
+        assert g.edge_count() == 2 * 4 + 5
+
+    @pytest.mark.parametrize("name", list(FORMULA_GRAPH_CASES))
+    @pytest.mark.parametrize("pop", ["min", "max"])
+    def test_compact_view_orders_the_formula_links(self, name, pop):
+        g = build_graph(make_workbook(FORMULA_GRAPH_CASES[name]))
+        formulas, compact = formula_view(g), g.compact
+        if pop == "max":
+            reverse_sort_key(compact)
+        order, in_cycle = schedule(compact)
+        assert in_cycle == cycle_nodes(formulas)
+        assert set(formulas.nodes) <= set(order) | in_cycle
+        position = {node: i for i, node in enumerate(order)}
+        for src, dst in formulas.edges():
+            if dst not in in_cycle:
+                assert src in in_cycle or position[src] < position[dst]
 
     def test_random_workbooks_match_the_full_view(self):
         rng = random.Random(11)
         for _ in range(30):
             wb = random_acyclic_workbook(rng)
             g = build_graph(wb)
-            assert set(g.formulas.edges()) == full_view_formula_edges(g)
+            assert set(formula_view(g).edges()) == full_view_formula_edges(g)
             assert recompute_workbook(wb) == values_over_full_view(wb, "min")

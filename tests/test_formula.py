@@ -171,6 +171,12 @@ class TestParse:
             "*", Ref(ref(1, 1, sheet="S1", external="Rates")), NumberLit(2.0)
         )
 
+    def test_quoted_sheet_doubles_its_apostrophe(self):
+        assert parse_formula("='It''s'!A1") == Ref(ref(1, 1, sheet="It's"))
+        assert parse_formula("=''''!A1") == Ref(ref(1, 1, sheet="'"))
+        ast = parse_formula("='[Q''s]It''s'!B2")
+        assert ast == Ref(ref(2, 2, sheet="It's", external="Q's"))
+
     def test_quoted_external(self):
         ast = parse_formula("='[Annual Rates]My Sheet'!B2")
         assert ast == Ref(ref(2, 2, sheet="My Sheet", external="Annual Rates"))
@@ -269,6 +275,9 @@ class TestSerialize:
 
     def test_quoted_sheet_rendering(self):
         assert serialize_formula(Ref(ref(1, 1, sheet="My Sheet"))) == "'My Sheet'!A1"
+        assert serialize_formula(Ref(ref(1, 1, sheet="It's"))) == "'It''s'!A1"
+        external = Ref(ref(1, 1, sheet="It's", external="Q's"))
+        assert serialize_formula(external) == "'[Q''s]It''s'!A1"
 
 
 class TestCollectReferences:

@@ -19,6 +19,7 @@ from sheetsentry.graph import (
 from sheetsentry.workbook import CellAddress, Sheet, load_workbook
 from conftest import FIXTURES, addr, make_workbook
 from evalgen import random_acyclic_workbook
+from formulaview import formula_view
 from test_evaluate import CYCLE_CASES, FORMULA_GRAPH_CASES
 
 RANGE_CAP_CELLS = {"S": {"A5": "=C1", "C1": 2, "B1": "=SUM(A1:A200000)"}}
@@ -334,16 +335,16 @@ class TestAdjacency:
         assert g.node_count() > 0
         assert len(calls) == 21  # one per distinct over-cap range
 
-    @pytest.mark.parametrize("view", ["cells", "formulas"])
+    @pytest.mark.parametrize("view", ["cells", "formulas", "compact"])
     def test_building_a_view_calls_no_sort_key(self, view):
         g = build_graph(running_totals_over_formulas(40))
-        forward, calls = g.sort_key, []
+        built = {"cells": g, "formulas": formula_view(g), "compact": g.compact}[view]
+        forward, calls = built.sort_key, []
 
         def counting(node):
             calls.append(node)
             return forward(node)
 
-        g.sort_key = counting
-        built = g.formulas if view == "formulas" else g
+        built.sort_key = counting
         assert built.node_count() > 0 and built.edge_count() > 0
         assert calls == []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import sheetsentry.graph as graph_module
 from sheetsentry.cli import main
 from sheetsentry.errors import DomainError
-from sheetsentry.evaluate import Engine
+from sheetsentry.evaluate import Engine, recompute_workbook
 import sheetsentry.formula as formula_module
 from sheetsentry.formula import _Parser, parse_all_formulas, parse_formula, tokenize
 from sheetsentry.metrics import (
@@ -30,13 +30,15 @@ from sheetsentry.report import audit_workbook
 from sheetsentry.rules import RuleConfig, run_rules
 from sheetsentry.graph import build_graph
 from sheetsentry.workbook import (
+    CellValue,
     ScriptModule,
     col_to_letters,
     load_workbook,
     workbook_from_dict,
 )
 
-from conftest import FIXTURES, make_workbook, scale_grid_doc, stored_formula_count, write_wbjson
+from conftest import FIXTURES, addr, make_workbook, scale_grid_doc, stored_formula_count, write_wbjson
+from formulaview import formula_view
 
 # integer percents reported for the six audited sample workbooks
 REFERENCE_SAMPLES = [(351, 97), (37, 31), (284, 94), (209, 88), (260, 93), (164, 81)]
@@ -304,7 +306,8 @@ class TestMemoryFollowsFormulas:
 
     def test_formula_view_is_empty(self):
         a = Analysis(workbook_from_dict(scale_grid_doc()))
-        assert a.graph.formulas.node_count() == 0
+        assert formula_view(a.graph).node_count() == 0
+        assert a.graph.compact.node_count() == 0
 
     def test_retained_bytes_per_formula_cell(self):
         wb = workbook_from_dict(scale_grid_doc(40, 250))
@@ -414,3 +417,42 @@ class TestNoRangeExpansion:
     def test_views_still_expand_on_demand(self):
         wb = workbook_from_dict(running_totals_doc(20))
         assert build_graph(wb).edge_count() == sum(range(1, 21))
+
+
+class TestRunningTotalsReadPrefixes:
+    """Copied running totals cost their formula cells, not the area of their ranges."""
+
+    ROWS = 1500
+
+    def test_scheduling_edges_grow_with_formula_cells(self):
+        """``=A{r}*2`` and ``=SUM($B$1:B{r})``: 3,000 formula cells whose
+        formula view has a link per (total, cell above it) pair."""
+        cells = {}
+        for r in range(1, self.ROWS + 1):
+            cells[f"A{r}"] = r
+            cells[f"B{r}"] = f"=A{r}*2"
+            cells[f"C{r}"] = f"=SUM($B$1:B{r})"
+        wb = make_workbook({"S": cells})
+        g = build_graph(wb)
+        formula_cells = 2 * self.ROWS
+        assert g.compact.edge_count() <= 3 * formula_cells
+        assert formula_view(g).edge_count() == self.ROWS * (self.ROWS + 1) // 2
+        values = recompute_workbook(wb)
+        assert values[addr("S", f"C{self.ROWS}")] == CellValue.number(self.ROWS * (self.ROWS + 1))
+
+    def test_recompute_reads_each_range_cell_once(self, monkeypatch):
+        """``=SUM($A$1:A{r})`` over inputs: the ranges cover 1,125,750 cells."""
+        cells = {f"A{r}": r for r in range(1, self.ROWS + 1)}
+        cells.update({f"B{r}": f"=SUM($A$1:A{r})" for r in range(1, self.ROWS + 1)})
+        wb = make_workbook({"S": cells})
+        reads = []
+        original = Engine._read
+
+        def counting_read(self, column, lo, hi):
+            reads.append(hi - lo)
+            return original(self, column, lo, hi)
+
+        monkeypatch.setattr(Engine, "_read", counting_read)
+        values = recompute_workbook(wb)
+        assert sum(reads) <= 2 * self.ROWS
+        assert values[addr("S", f"B{self.ROWS}")] == CellValue.number(self.ROWS * (self.ROWS + 1) // 2)

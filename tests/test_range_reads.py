@@ -206,3 +206,78 @@ def test_reading_an_unevaluated_formula_raises():
     engine.run()
     assert engine._evaluate(total, sheet) == CellValue.number(7)
     assert engine._evaluate(lookup, sheet) == CellValue.number(4)
+
+
+# Running totals: a fixed head row over one column, read from the engine's
+# prefix records, against ScanEngine, which reads every range in full. BIG
+# holds numbers whose sums cancel or overflow, drawn as often as any input.
+BIG = [0.0, -0.0, 0.1, 1.0, 1e16, -1e16, 3.3e200, -3.3e200, 1e308, -1e308]
+PREFIX_FORMULAS = FORMULAS + ["=1E308", "=-1E308", "=3.3E200", "=-0", "=SUM($A$1:A9)"]
+PREFIX_CELL = st.one_of(
+    st.none(),
+    st.sampled_from(INPUTS + [CellValue.number(math.inf), CellValue.number(-math.inf)]).map(
+        lambda v: Cell(cached=v)
+    ),
+    st.sampled_from(BIG).map(lambda x: Cell(cached=CellValue.number(x))),
+    st.sampled_from(BIG).map(lambda x: Cell(cached=CellValue.number(x))),
+    st.sampled_from(PREFIX_FORMULAS).map(lambda f: Cell(formula=f, cached=CellValue.number(2.0))),
+)
+PREFIX_ROWS = 9
+
+
+@st.composite
+def running_totals(draw) -> Workbook:
+    """Column A: data; B: running totals over A; C: running totals over B."""
+    cells: dict[tuple[int, int], Cell] = {}
+    for row in range(1, PREFIX_ROWS + 1):
+        got = draw(PREFIX_CELL)
+        if got is not None:
+            cells[1, row] = got
+    heads = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    for col, over in ((2, "A"), (3, "B")):
+        for row in range(1, PREFIX_ROWS + 1):
+            head = draw(st.sampled_from(heads))
+            tail = draw(st.integers(1, PREFIX_ROWS + 1))
+            # the head corner may come first or last, and the sheet named or not
+            corners = [f"${over}${head}", f"{over}{tail}"]
+            if draw(st.booleans()):
+                corners.reverse()
+            qualifier = draw(st.sampled_from(["", "S!", "[X]S!"]))
+            cells[col, row] = Cell(
+                formula=f"={draw(AGGREGATE)}({qualifier}{':'.join(corners)})",
+                cached=draw(CACHED),
+            )
+    return Workbook(sheets=[Sheet("S", cells)])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(running_totals())
+def test_running_totals_match_the_scan_oracle(wb):
+    assert outcome(Engine, wb) == outcome(ScanEngine, wb)
+
+
+# Per aggregate and column of data, the value over A1:A{n} for n = 1, 2, ...
+RUNNING_CASES = [
+    ("MIN", [0.0, -0.0], [0.0, 0.0]),         # equal values keep the first, as min() does
+    ("MIN", [-0.0, 0.0], [-0.0, -0.0]),
+    ("MAX", [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]),
+    ("SUM", [3.3e200, 0.1, -3.3e200], [3.3e200, 3.3e200, 0.1]),   # exact, as fsum
+    ("SUM", [0.1] * 10, [math.fsum([0.1] * n) for n in range(1, 11)]),
+    ("SUM", [1e308, 1e308, -1e308], [1e308, "#VALUE!", "#VALUE!"]),  # fsum overflows
+    ("AVERAGE", [None, "x", 4.0, 2.0], ["#DIV/0!", "#DIV/0!", 4.0, 3.0]),
+    ("COUNT", [1.0, CellValue.error("#N/A"), True, 2.0], [1.0, 1.0, 1.0, 2.0]),
+    ("MAX", [1.0, CellValue.error("#N/A"), 5.0], [1.0, "#N/A", "#N/A"]),
+]
+
+
+@pytest.mark.parametrize("name, column, expected", RUNNING_CASES)
+def test_running_total_cases(name, column, expected):
+    cells = {f"A{r}": v for r, v in enumerate(column, start=1) if v is not None}
+    cells.update({f"B{r}": f"={name}($A$1:A{r})" for r in range(1, len(column) + 1)})
+    wb = make_workbook({"S": cells})
+    engine = Engine(wb)
+    engine.run()
+    got = [engine.values[addr("S", f"B{r}")] for r in range(1, len(column) + 1)]
+    want = [CellValue.error(x) if isinstance(x, str) else CellValue.number(x) for x in expected]
+    assert list(map(plain, got)) == list(map(plain, want))
+    assert outcome(Engine, wb) == outcome(ScanEngine, wb)

@@ -8,6 +8,7 @@ import pytest
 
 from sheetsentry.cli import main
 from sheetsentry.formula import MAX_DEPTH
+from sheetsentry.normalize import copy_classes
 from sheetsentry.report import (
     audit_workbook,
     render_json,
@@ -16,7 +17,7 @@ from sheetsentry.report import (
     report_to_dict,
 )
 from sheetsentry.rules import Severity
-from sheetsentry.workbook import CellValue, ValueKind, col_to_letters
+from sheetsentry.workbook import CellValue, ValueKind, col_to_letters, load_workbook
 
 from conftest import make_workbook, strict_json, write_wbjson
 
@@ -287,6 +288,26 @@ class TestRobustness:
         assert main(["audit", path, "--format", "json"]) == 1
         doc = strict_json(capsys.readouterr().out)
         assert "HARDCODED_CONSTANT" not in [f["rule_id"] for f in doc["findings"]]
+
+    def test_sheet_name_with_an_apostrophe_audits(self, tmp_path, capsys):
+        # a quoted name doubles its apostrophe, as a string doubles its quote
+        path = write_wbjson(tmp_path, {
+            "manifest": {"specification": "a sheet named It's"},
+            "sheets": [
+                {"name": "It's", "cells": {"A1": {"v": 2}, "A2": {"v": 3}}},
+                {"name": "S", "cells": {
+                    "A1": {"f": "='It''s'!A1*10", "v": 20},
+                    "A2": {"f": "='It''s'!A2*10", "v": 30},
+                    "B1": {"f": "=SUM('IT''S'!$A$1:A2)", "v": 5},
+                }},
+            ],
+        })
+        assert main(["audit", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["staleness"]["entries"] == []
+        assert doc["metrics"]["unique_formulae"] == 2
+        texts = sorted(c.normalized for c in copy_classes(load_workbook(path)))
+        assert texts == ["'IT''S'!RC*10", "SUM('IT''S'!R1C1:R[1]C[-1])"]
 
     def test_deep_parentheses_audit(self, tmp_path):
         path = write_wbjson(tmp_path, {

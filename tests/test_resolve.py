@@ -3,8 +3,9 @@
 Both ask :meth:`Workbook.resolve` for the sheet and
 :meth:`Sheet.column_slices` for the cells of a range. The property below
 checks the agreement from outside: every formula cell the engine reads
-while evaluating a cell is a precedent of that cell in
-:attr:`DepGraph.formulas`, and a cell that view leaves out reads none.
+while evaluating a cell is a precedent of that cell in the view of the
+links between formula cells (``formulaview.formula_view``), and a cell
+that view leaves out reads none.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from sheetsentry.workbook import (
 )
 
 from conftest import addr, write_wbjson
+from formulaview import formula_view
 
 REF = CellValue.error("#REF!")
 
@@ -160,7 +162,7 @@ def test_engine_reads_only_graph_precedents(wb):
     engine = Engine(wb, graph=g)
     engine.values = recording = RecordingValues(engine.asts)
     engine.run()
-    formulas = g.formulas
+    formulas = formula_view(g)
     linked = set(formulas.nodes)
     for node, read in recording.read_by.items():
         if node in linked:
