@@ -12,11 +12,13 @@ class IoError(SheetSentryError):
 
 
 class FormatError(SheetSentryError):
-    """A file violates its schema. ``path`` names the offending JSON path."""
+    """A file violates its schema. ``path`` names the offending JSON path
+    and ``message`` says what is wrong there."""
 
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 class ValidationError(SheetSentryError):

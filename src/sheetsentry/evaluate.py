@@ -50,7 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .formula import (
     Binary,
@@ -92,6 +92,7 @@ _CIRC = CellValue.error("#CIRC!")
 _TRUE = CellValue.boolean(True)
 _FALSE = CellValue.boolean(False)
 _ERROR = ValueKind.ERROR
+_NUMBER = ValueKind.NUMBER
 
 # mixed kinds order as number < text < boolean
 _KIND_RANK = {ValueKind.NUMBER: 0, ValueKind.TEXT: 1, ValueKind.BOOLEAN: 2}
@@ -249,6 +250,19 @@ class _Prefix:
         return _finite(least if name == "MIN" else most)
 
 
+def _in_order(cells: dict[CellAddress, tuple], linked: set, order: list) -> Iterator[tuple]:
+    """``cells``' items in evaluation order: those not ``linked`` in the
+    scheduling view as they come, then the formula cells of ``order``.
+    A generator, so that no list of a workbook's cells is built."""
+    for item in cells.items():
+        if item[0] not in linked:
+            yield item
+    for node in order:
+        cell = cells.get(node)
+        if cell is not None:
+            yield node, cell
+
+
 class Engine:
     """Evaluates one workbook; reusable for multiple queries."""
 
@@ -285,34 +299,40 @@ class Engine:
         if self._ran:
             return
         cells = self.asts.cells
+        values, tainted, compiled = self.values, self.tainted, self._compiled
         sheets = {sheet.name: sheet for sheet in self.wb.sheets}
         order, in_cycle = schedule(self.graph.compact)
         for node in in_cycle:
             if node in cells:
-                self.values[node] = _CIRC
+                values[node] = _CIRC
         linked = in_cycle.union(order)
-        for node in [addr for addr in cells if addr not in linked] + order:
-            cell = cells.get(node)
-            if cell is not None:
-                self._current_tainted = False
-                val = self._evaluate(cell, sheets[node.sheet])
-                if val.kind is ValueKind.NUMBER and not math.isfinite(val.value):
+        work = _in_order(cells, linked, order) if linked else cells.items()
+        name = sheet = None
+        for node, cell in work:
+            if node.sheet != name:  # cells come sheet by sheet, mostly
+                name = node.sheet
+                sheet = sheets[name]
+            evaluator = compiled.get(cell[0])
+            if evaluator is None:
+                evaluator = compiled[cell[0]] = self._compile(cell[0])
+            self._current_tainted = False
+            val = evaluator(self, cell, sheet)
+            if val.kind is _NUMBER:
+                if not math.isfinite(val.value):
                     # a NaN or infinite input, which only a Workbook built in
                     # memory can hold, read through a reference unchanged
                     val = _VALUE_ERR
-                elif val.kind is ValueKind.BLANK:  # as a spreadsheet caches it
-                    val = _blank_as(ValueKind.NUMBER)
-                self.values[node] = val
-                if self._current_tainted:
-                    self.tainted.add(node)
+            elif val.kind is ValueKind.BLANK:  # as a spreadsheet caches it
+                val = _blank_as(_NUMBER)
+            values[node] = val
+            if self._current_tainted:
+                tainted.add(node)
         self._ran = True
 
-    def _evaluate(self, cell: tuple, sheet: Sheet) -> CellValue:
-        """The value of formula cell ``cell`` (see :class:`Template`) held on ``sheet``."""
-        evaluator = self._compiled.get(cell[0])
-        if evaluator is None:
-            evaluator = self._compiled[cell[0]] = compile_template(cell[0])
-        return evaluator(self, cell, sheet)
+    def _compile(self, template: Template) -> Evaluator:
+        """The evaluator of a template's cells (see :class:`Template`),
+        called with the engine, the cell and the sheet that holds it."""
+        return compile_template(template)
 
     # -- cell/range resolution
 
@@ -970,21 +990,24 @@ def staleness_report(
     engine.run()
     entries: list[StalenessEntry] = []
     exclusions: list[CellAddress] = []
-    for addr in engine.asts:
-        cell = wb.cell(addr)
-        recomputed = engine.values[addr]
-        if addr in engine.tainted and recomputed == _REF_ERR:
-            exclusions.append(addr)
-            continue
-        cached = cell.cached
-        if cached.is_number() and recomputed.is_number():
+    values, tainted = engine.values, engine.tainted
+    name = stored = None
+    for addr in engine.asts.cells:
+        sheet, col, row = addr
+        if sheet != name:  # cells come sheet by sheet
+            name, stored = sheet, wb.sheet(sheet).cells
+        cached = stored[(col, row)].cached
+        recomputed = values[addr]
+        if cached.kind is _NUMBER and recomputed.kind is _NUMBER:
             delta = abs(cached.value - recomputed.value)
             scale = max(1.0, abs(recomputed.value))
-            if math.isnan(delta):
+            if delta > NUMERIC_TOLERANCE * scale:
+                entries.append(StalenessEntry(addr, cached, recomputed, delta / scale))
+            elif delta != delta:
                 # a NaN (only possible in a Workbook built in memory) fails every tolerance
                 entries.append(StalenessEntry(addr, cached, recomputed, None))
-            elif delta > NUMERIC_TOLERANCE * scale:
-                entries.append(StalenessEntry(addr, cached, recomputed, delta / scale))
+        elif recomputed.kind is _ERROR and addr in tainted and recomputed == _REF_ERR:
+            exclusions.append(addr)
         elif cached != recomputed:
             entries.append(StalenessEntry(addr, cached, recomputed, None))
     return StalenessReport(entries=entries, external_exclusions=exclusions)

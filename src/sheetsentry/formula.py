@@ -548,15 +548,18 @@ def parse_all_formulas(wb: Workbook) -> Formulas:
     """Parse every formula cell once, in reading order (sheet order, then
     row, then column); raises ParseError naming the cell."""
     cells: dict[CellAddress, tuple] = {}
-    for addr, cell in wb.iter_cells():
-        if cell.formula is None:
-            continue
-        try:
-            cells[addr] = parse_formula(cell.formula, holes=True)
-        except ParseError as exc:
-            raise ParseError(
-                f"{addr.qualified()}: {exc.message}", exc.offset, exc.expected
-            ) from exc
+    for sheet in wb.sheets:
+        found = [(row, col, cell.formula) for (col, row), cell in sheet.cells.items()
+                 if cell.formula is not None]
+        found.sort()  # (row, col) is unique, so formula texts are never compared
+        for row, col, formula in found:
+            addr = CellAddress(sheet.name, col, row)
+            try:
+                cells[addr] = parse_formula(formula, holes=True)
+            except ParseError as exc:
+                raise ParseError(
+                    f"{addr.qualified()}: {exc.message}", exc.offset, exc.expected
+                ) from exc
     return Formulas(cells)
 
 

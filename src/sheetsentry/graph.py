@@ -114,6 +114,8 @@ class DepGraph:
         self._compact_reads = compact_reads
         self.external_links = external_links
         self.wb = wb
+        # rank of each stored sheet name; sort_key asks sheet_rank for other spellings
+        self._ranks = {sheet.name: pos for pos, sheet in enumerate(wb.sheets)}
 
     @cached_property
     def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
@@ -147,7 +149,9 @@ class DepGraph:
 
     def sort_key(self, node: Node) -> tuple:
         """Sheet order, then row, then column, as :meth:`Workbook.address_sort_key`."""
-        rank = self.wb.sheet_rank(node.sheet)
+        rank = self._ranks.get(node.sheet)
+        if rank is None:
+            rank = self.wb.sheet_rank(node.sheet)
         if isinstance(node, RangeNode):
             return (rank, node.start_row, node.start_col, 1, node.end_row, node.end_col)
         return (rank, node.row, node.col, 0, 0, 0)

@@ -8,6 +8,11 @@ are pure reads, so any number of concurrent readers is safe.
 Which stored cells a formula reference reads is decided here, for the
 dependency graph and the evaluator alike: :meth:`Workbook.resolve` picks
 the sheet and :meth:`Sheet.column_slices` the cells of a range.
+
+The loader checks every cell of the interchange format but builds no
+error text ahead of need: a cell's JSON path (``$.sheets[i].cells.KEY.v``)
+is formatted only when loading that cell fails, and every
+:class:`FormatError` names the same path with the same message either way.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ MAX_ROW = 1 << 20
 ERROR_CODES = frozenset({"#DIV/0!", "#REF!", "#VALUE!", "#N/A", "#NAME?", "#CIRC!"})
 
 _ADDRESS_RE = re.compile(r"(\$?)([A-Z]+)(\$?)([1-9][0-9]*)\Z")
-_PLAIN_ADDRESS_RE = re.compile(r"([A-Z]+)([1-9][0-9]*)\Z")
+_CELL_KEYS = frozenset(("f", "v"))
 
 
 def letters_to_col(letters: str) -> int:
@@ -391,7 +396,7 @@ def _expect_object(value: Any, path: str) -> None:
         raise FormatError(path, f"expected object, got {type(value).__name__}")
 
 
-def _reject_unknown(obj: dict, path: str, allowed: set[str]) -> None:
+def _reject_unknown(obj: dict, path: str, allowed: set[str] | frozenset[str]) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise FormatError(path, f"unknown key {sorted(unknown)[0]!r}")
@@ -445,40 +450,65 @@ def _load_sheet(doc: Any, path: str) -> Sheet:
     if not name:
         raise FormatError(f"{path}.name", "sheet name must be nonempty")
     cells: dict[tuple[int, int], Cell] = {}
+    cols: dict[str, int] = {}  # each run of column letters is decoded once
     cells_doc = doc.get("cells", {})
     _expect_object(cells_doc, f"{path}.cells")
     for key, cell_doc in cells_doc.items():
-        cell_path = f"{path}.cells.{key}"
-        m = _PLAIN_ADDRESS_RE.match(key)
-        if m is None:
-            raise FormatError(cell_path, f"malformed cell address key {key!r}")
-        # cut to 4 letters and 8 digits, which are past the bounds already,
-        # so that a long key costs nothing to decode
-        col = letters_to_col(m.group(1)[:4])
-        row = int(m.group(2)[:8])
+        letters = key.rstrip("0123456789")  # a key is [A-Z]+ then [1-9][0-9]*
+        digits = key[len(letters):]
+        col = cols.get(letters)
+        if col is None:  # 0 marks malformed letters; 4 letters and 8 digits are
+            # past the bounds already, so that a long key costs nothing to decode
+            well_formed = letters.isascii() and letters.isalpha() and letters.isupper()
+            col = cols[letters] = letters_to_col(letters[:4]) if well_formed else 0
+        if not col or not digits or digits[0] == "0":
+            raise FormatError(f"{path}.cells.{key}", f"malformed cell address key {key!r}")
+        row = int(digits[:8])
         if col > MAX_COL or row > MAX_ROW:
-            raise FormatError(cell_path, f"cell address {key!r} out of bounds")
-        cell = _load_cell(cell_doc, cell_path)
+            raise FormatError(f"{path}.cells.{key}", f"cell address {key!r} out of bounds")
+        try:
+            cell = _load_cell(cell_doc)
+        except FormatError as exc:  # its path is relative to the cell
+            raise FormatError(f"{path}.cells.{key}{exc.path}", exc.message) from None
         if cell is not None:
             cells[(col, row)] = cell
     return Sheet(name=name, cells=cells)
 
 
-def _load_cell(doc: Any, path: str) -> Cell | None:
-    _expect_object(doc, path)
-    _reject_unknown(doc, path, {"f", "v"})
+def _load_cell(doc: Any) -> Cell | None:
+    """The cell a cell object describes, or None for a blank one.
+
+    Raises:
+        FormatError: with a path relative to the cell: ``""``, ``".f"`` or ``".v"``.
+    """
+    if type(doc) is not dict:
+        _expect_object(doc, "")
+    if not doc.keys() <= _CELL_KEYS:
+        _reject_unknown(doc, "", _CELL_KEYS)
     formula = None
     if "f" in doc:
-        formula = _expect_str(doc["f"], f"{path}.f")
-        if not formula.startswith("=") or len(formula) < 2:
-            raise FormatError(f"{path}.f", "formula must start with '=' and be nonempty")
-    cached = _value_from_json(doc["v"], f"{path}.v") if "v" in doc else BLANK
-    if formula is None and cached.is_blank():
-        return None  # sparse model: blank cells are not stored
-    return Cell(formula=formula, cached=cached)
+        formula = doc["f"]
+        if type(formula) is not str:
+            formula = _expect_str(formula, ".f")
+        if len(formula) < 2 or formula[0] != "=":
+            raise FormatError(".f", "formula must start with '=' and be nonempty")
+    if "v" in doc:
+        return Cell(formula, _value_from_json(doc["v"], ".v"))
+    return None if formula is None else Cell(formula, BLANK)  # blank cells are not stored
 
 
 def _value_from_json(value: Any, path: str) -> CellValue:
+    kind = type(value)  # the common exact types first; the checks below take the rest
+    if kind is float:
+        if value - value == 0.0:  # neither NaN nor infinite
+            return CellValue(ValueKind.NUMBER, value)
+    elif kind is int:
+        try:
+            return CellValue(ValueKind.NUMBER, float(value))
+        except OverflowError:  # refused below
+            pass
+    elif kind is str:
+        return CellValue(ValueKind.TEXT, value)
     if isinstance(value, bool):
         return CellValue.boolean(value)
     if isinstance(value, (int, float)):

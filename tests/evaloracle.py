@@ -41,7 +41,10 @@ from sheetsentry.workbook import CellValue, Sheet, ValueKind
 
 
 class TreeEngine(Engine):
-    def _evaluate(self, cell: tuple, sheet: Sheet) -> CellValue:
+    def _compile(self, template):
+        return TreeEngine._walk  # the same walk for every template
+
+    def _walk(self, cell: tuple, sheet: Sheet) -> CellValue:
         return self._eval(cell[0].fill(cell), sheet.name)
 
     def _eval(self, node: FormulaAst, sheet: str) -> CellValue:

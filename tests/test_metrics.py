@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import sheetsentry.graph as graph_module
 from sheetsentry.cli import main
 from sheetsentry.errors import DomainError
-from sheetsentry.evaluate import Engine, recompute_workbook
+from sheetsentry.evaluate import Engine, recompute_workbook, staleness_report
 import sheetsentry.formula as formula_module
 from sheetsentry.formula import _Parser, parse_all_formulas, parse_formula, tokenize
 from sheetsentry.metrics import (
@@ -28,10 +28,11 @@ from sheetsentry.metrics import (
 )
 from sheetsentry.report import audit_workbook
 from sheetsentry.rules import RuleConfig, run_rules
-from sheetsentry.graph import build_graph
+from sheetsentry.graph import build_graph, schedule
 from sheetsentry.workbook import (
     CellValue,
     ScriptModule,
+    Workbook,
     col_to_letters,
     load_workbook,
     workbook_from_dict,
@@ -456,3 +457,64 @@ class TestRunningTotalsReadPrefixes:
         values = recompute_workbook(wb)
         assert sum(reads) <= 2 * self.ROWS
         assert values[addr("S", f"B{self.ROWS}")] == CellValue.number(self.ROWS * (self.ROWS + 1) // 2)
+
+
+class TestPerSheetWorkIsOncePerSheet:
+    """Reading order, scheduling and staleness resolve each sheet once, not
+    once per formula cell."""
+
+    ROWS = 120
+
+    @pytest.fixture
+    def wb(self):
+        """Three sheets of 120 rows each, every row a chain In -> Mid -> Out,
+        the references to ``In`` spelled in another case; every tenth
+        ``Out`` cell caches a stale value."""
+        inputs, mids, outs = {}, {}, {}
+        for r in range(1, self.ROWS + 1):
+            inputs[f"A{r}"] = r
+            inputs[f"B{r}"] = (f"=A{r}*2", 2 * r)
+            mids[f"A{r}"] = (f"=in!B{r}+1", 2 * r + 1)
+            outs[f"A{r}"] = (f"=Mid!A{r}+IN!B{r}", 4 * r + 1 + (r % 10 == 0))
+        return make_workbook({"In": inputs, "Mid": mids, "Out": outs})
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(Workbook, name)
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Workbook, name, counted)
+        return calls
+
+    def test_staleness_resolves_each_sheet_once(self, wb, monkeypatch):
+        engine = Engine(wb)
+        engine.run()
+        cell_calls = self.counting(monkeypatch, "cell")
+        sheet_calls = self.counting(monkeypatch, "sheet")
+        report = staleness_report(wb, engine)
+        assert len(engine.asts) >= 300
+        assert len(cell_calls) + len(sheet_calls) <= len(wb.sheets)
+        assert [e.address for e in report.entries] == [
+            addr("Out", f"A{r}") for r in range(10, self.ROWS + 1, 10)
+        ]
+
+    def test_reading_order_walks_no_stored_cell_list(self, wb, monkeypatch):
+        def refuse(self):
+            raise AssertionError("iter_cells called")
+
+        monkeypatch.setattr(Workbook, "iter_cells", refuse)
+        asts = parse_all_formulas(wb)
+        assert list(asts) == sorted(asts, key=wb.address_sort_key)
+        assert len(asts) == 3 * self.ROWS
+
+    def test_schedule_ranks_each_sheet_once(self, wb, monkeypatch):
+        g = build_graph(wb).compact
+        assert g.node_count() >= 3 * self.ROWS
+        calls = self.counting(monkeypatch, "sheet_rank")
+        order, in_cycle = schedule(g)
+        assert len(calls) <= len(wb.sheets)
+        assert not in_cycle and len(order) == g.node_count()

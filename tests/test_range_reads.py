@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sheetsentry.evaluate import Engine, staleness_report
+from sheetsentry.evaluate import Engine, compile_template, staleness_report
 from sheetsentry.formula import parse_all_formulas
 from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook, col_to_letters
 
@@ -201,11 +201,11 @@ def test_reading_an_unevaluated_formula_raises():
     sheet = wb.sheet("S")
     for cell in (total, lookup):
         with pytest.raises(RuntimeError, match="not yet evaluated"):
-            Engine(wb)._evaluate(cell, sheet)
+            compile_template(cell[0])(Engine(wb), cell, sheet)
     engine = Engine(wb)
     engine.run()
-    assert engine._evaluate(total, sheet) == CellValue.number(7)
-    assert engine._evaluate(lookup, sheet) == CellValue.number(4)
+    assert compile_template(total[0])(engine, total, sheet) == CellValue.number(7)
+    assert compile_template(lookup[0])(engine, lookup, sheet) == CellValue.number(4)
 
 
 # Running totals: a fixed head row over one column, read from the engine's

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import string
 
 import pytest
@@ -23,11 +24,72 @@ from sheetsentry.workbook import (
     letters_to_col,
     load_workbook,
     parse_address,
+    workbook_from_dict,
 )
 from sheetsentry.formula import Reference, render_a1
 from sheetsentry.metrics import compute_metrics
 
 from conftest import make_workbook, stored_formula_count, write_wbjson
+
+
+def _cell(cell, key="A1") -> dict:
+    return {"sheets": [{"name": "S", "cells": {key: cell}}]}
+
+
+def _raw_value(number: str) -> str:
+    return '{"sheets": [{"name": "S", "cells": {"A1": {"v": %s}}}]}' % number
+
+
+# cell keys mostly of the pattern [A-Z]+[1-9][0-9]*, some past the bounds,
+# some with letters of other cases and scripts, "$", a leading zero, digits
+# of other scripts or a line break
+KEYS = st.builds(
+    lambda letters, digits: letters + digits,
+    st.one_of(st.text("AZ", min_size=1, max_size=5), st.text("AZÉa$", max_size=3)),
+    st.one_of(
+        st.integers(1, 2 * MAX_ROW).map(str),
+        st.integers(1, 10**9).map(str),
+        st.text("019\u0661\n", max_size=4),
+    ),
+)
+
+
+# (test id, document, the FormatError's full text); the first nine ids are
+# the ones this table had when it checked only a fragment of the path
+SCHEMA_VIOLATIONS = [
+    ("doc0-$.sheets", {}, "$.sheets: expected a nonempty array of sheets"),
+    ("doc1-$.sheets", {"sheets": []}, "$.sheets: expected a nonempty array of sheets"),
+    ("doc2-$", {"sheets": [{"name": "S"}], "extra": 1}, "$: unknown key 'extra'"),
+    ("doc3-name", {"sheets": [{"name": ""}]}, "$.sheets[0].name: sheet name must be nonempty"),
+    ("doc4-bad", _cell({}, "bad"),
+     "$.sheets[0].cells.bad: malformed cell address key 'bad'"),
+    ("doc5-.f", _cell({"f": "A1"}),
+     "$.sheets[0].cells.A1.f: formula must start with '=' and be nonempty"),
+    ("doc6-.v", _cell({"v": {"err": "#X!"}}), "$.sheets[0].cells.A1.v: unknown error code '#X!'"),
+    ("doc7-.v", _cell({"v": None}), "$.sheets[0].cells.A1.v: unsupported value type NoneType"),
+    ("doc8-calc_mode", {"sheets": [{"name": "S"}], "settings": {"calc_mode": "off"}},
+     "$.settings.calc_mode: expected 'automatic' or 'manual', got 'off'"),
+    ("list-cell", _cell([]), "$.sheets[0].cells.A1: expected object, got list"),
+    ("unknown-cell-key", _cell({"v": 1, "x": 1}), "$.sheets[0].cells.A1: unknown key 'x'"),
+    ("null-formula", _cell({"f": None}), "$.sheets[0].cells.A1.f: expected string, got NoneType"),
+    ("number-formula", _cell({"f": 3}), "$.sheets[0].cells.A1.f: expected string, got int"),
+    ("bare-equals", _cell({"f": "="}),
+     "$.sheets[0].cells.A1.f: formula must start with '=' and be nonempty"),
+    ("list-value", _cell({"v": []}), "$.sheets[0].cells.A1.v: unsupported value type list"),
+    ("nan", _raw_value("NaN"), "$.sheets[0].cells.A1.v: numbers must be finite"),
+    ("infinity", _raw_value("Infinity"), "$.sheets[0].cells.A1.v: numbers must be finite"),
+    ("1e999", _raw_value("1e999"), "$.sheets[0].cells.A1.v: numbers must be finite"),
+    ("10**400", _raw_value(str(10**400)), "$.sheets[0].cells.A1.v: numbers must be finite"),
+    ("error-with-extra-key", _cell({"v": {"err": "#N/A", "x": 1}}),
+     "$.sheets[0].cells.A1.v: error values must be an object with a single 'err' key"),
+    ("error-code-number", _cell({"v": {"err": 3}}),
+     "$.sheets[0].cells.A1.v: unknown error code 3"),
+    ("row-zero", _cell({}, "A0"), "$.sheets[0].cells.A0: malformed cell address key 'A0'"),
+    ("column-past-bound", _cell({}, "ZZZZ1"),
+     "$.sheets[0].cells.ZZZZ1: cell address 'ZZZZ1' out of bounds"),
+    ("row-past-bound", _cell({}, "A1048577"),
+     "$.sheets[0].cells.A1048577: cell address 'A1048577' out of bounds"),
+]
 
 
 def enumerate_columns(max_len: int):
@@ -164,24 +226,55 @@ class TestLoadWorkbook:
             load_workbook(str(path))
 
     @pytest.mark.parametrize(
-        "doc,path_fragment",
-        [
-            ({}, "$.sheets"),
-            ({"sheets": []}, "$.sheets"),
-            ({"sheets": [{"name": "S"}], "extra": 1}, "$"),
-            ({"sheets": [{"name": ""}]}, "name"),
-            ({"sheets": [{"name": "S", "cells": {"bad": {}}}]}, "bad"),
-            ({"sheets": [{"name": "S", "cells": {"A1": {"f": "A1"}}}]}, ".f"),
-            ({"sheets": [{"name": "S", "cells": {"A1": {"v": {"err": "#X!"}}}}]}, ".v"),
-            ({"sheets": [{"name": "S", "cells": {"A1": {"v": None}}}]}, ".v"),
-            ({"sheets": [{"name": "S"}], "settings": {"calc_mode": "off"}}, "calc_mode"),
-        ],
+        "doc,text",
+        [pytest.param(doc, text, id=case) for case, doc, text in SCHEMA_VIOLATIONS],
     )
-    def test_schema_violations_name_the_path(self, tmp_path, doc, path_fragment):
-        path = write_wbjson(tmp_path, doc)
+    def test_schema_violations_name_the_path(self, tmp_path, doc, text):
+        """The full message: the JSON path, then what is wrong there. A
+        ``str`` document is written as it stands, for numbers ``json.dumps``
+        cannot spell."""
+        if isinstance(doc, str):
+            path = tmp_path / "wb.json"
+            path.write_text(doc, encoding="utf-8")
+        else:
+            path = write_wbjson(tmp_path, doc)
         with pytest.raises(FormatError) as err:
-            load_workbook(path)
-        assert path_fragment in str(err.value)
+            load_workbook(str(path))
+        assert str(err.value) == text
+        assert text.startswith(err.value.path + ": ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(KEYS, min_size=1, max_size=8))
+    def test_cell_keys_match_the_address_pattern(self, keys):
+        """The loader's key decoding against the pattern it implements:
+        ``[A-Z]+[1-9][0-9]*`` inside the sheet bounds, keys read in order."""
+        sheet = {"name": "S", "cells": {key: {"v": 1} for key in keys}}
+        expected = {}
+        for key in sheet["cells"]:
+            m = re.fullmatch(r"([A-Z]+)([1-9][0-9]*)", key)
+            if m is None:
+                text = f"malformed cell address key {key!r}"
+            elif letters_to_col(m[1]) > MAX_COL or int(m[2]) > MAX_ROW:
+                text = f"cell address {key!r} out of bounds"
+            else:
+                expected[(letters_to_col(m[1]), int(m[2]))] = CellValue.number(1)
+                continue
+            with pytest.raises(FormatError) as err:
+                workbook_from_dict({"sheets": [sheet]})
+            assert str(err.value) == f"$.sheets[0].cells.{key}: {text}"
+            return
+        cells = workbook_from_dict({"sheets": [sheet]}).sheets[0].cells
+        assert {key: cell.cached for key, cell in cells.items()} == expected
+
+    def test_number_subclasses_load_by_value(self):
+        class Count(int):
+            pass
+
+        doc = {"sheets": [{"name": "S", "cells": {"A1": {"v": Count(3)}, "A2": {"v": True}}}]}
+        cells = workbook_from_dict(doc).sheets[0].cells
+        assert cells[(1, 1)].cached == CellValue.number(3)
+        assert type(cells[(1, 1)].cached.value) is float
+        assert cells[(1, 2)].cached == CellValue.boolean(True)
 
     def test_defaults(self, tmp_path):
         path = write_wbjson(tmp_path, {"sheets": [{"name": "S"}]})
