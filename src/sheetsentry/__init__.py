@@ -57,17 +57,12 @@ from .metrics import (
     Analysis,
     ScriptMetrics,
     WorkbookMetrics,
-    branch_count,
     compute_metrics,
     error_probability,
     formula_cost,
     script_metrics,
 )
-from .normalize import (
-    CopyClass,
-    copy_classes,
-    normalize,
-)
+from .normalize import CopyClass, copy_classes
 from .report import (
     AuditReport,
     audit_workbook,

@@ -9,7 +9,9 @@ Operator precedence, low to high: comparisons, ``&``, additive,
 multiplicative, ``^``, unary sign. All levels are left-associative except
 ``^``, which is right-associative; unary sign binds tighter than ``^``.
 ``_BINARY_LEVEL`` is the one precedence table: the parser climbs it and
-the serializer reads it to place parentheses.
+the serializer reads it to place parentheses. ``_needs_quote`` is the one
+quoting rule, of formulas and of copy-class texts alike: a sheet or workbook
+name is quoted unless it lexes as one name other than ``TRUE`` or ``FALSE``.
 
 Parsing by shape. A workbook repeats a few formula shapes over many
 cells, so each shape is tokenized and parsed once and each cell keeps only
@@ -754,19 +756,25 @@ class _Parser:
 
 
 def _needs_quote(name: str) -> bool:
-    return _IDENT_RE.match(name) is None and _REF_LEXEME_RE.match(name) is None
+    """Unless ``name`` lexes as one name, and not as a boolean, it is written quoted."""
+    return _IDENT_RE.match(name) is None or name.upper() in ("TRUE", "FALSE")
+
+
+def _quote(name: str) -> str:
+    """``name`` quoted, its ``'`` doubled."""
+    return "'" + name.replace("'", "''") + "'"
 
 
 def _qualifier(ref: Reference) -> str:
-    """The workbook and sheet prefix of ``ref``; a quoted name doubles its ``'``."""
+    """The workbook and sheet prefix of ``ref``, quoted whole when a name needs it."""
     if ref.external is not None:
         name = f"[{ref.external}]{ref.sheet}"
-        quote = _needs_quote(ref.external) or (ref.sheet and _needs_quote(ref.sheet))
+        quote = _needs_quote(ref.external) or _needs_quote(ref.sheet)
     elif ref.sheet is not None:
         name, quote = ref.sheet, _needs_quote(ref.sheet)
     else:
         return ""
-    return "'" + name.replace("'", "''") + "'!" if quote else name + "!"
+    return (_quote(name) if quote else name) + "!"
 
 
 def render_a1(ref: Reference) -> str:
@@ -789,36 +797,10 @@ def _node_level(node: FormulaAst) -> int:
     return _ATOM_LEVEL
 
 
-def render_ast(
-    node: FormulaAst,
-    qualifier: Callable[[Reference], str],
-    cell: Callable[[Reference], str],
-) -> str:
-    """Render an AST to text with minimal parentheses.
-
-    ``qualifier`` renders a reference's sheet prefix (with its ``!``) and
-    ``cell`` its coordinates; a range is the start's qualifier and both
-    corners' cells around a ``:``. The normalizer swaps both out to
-    produce origin-relative text; everything else is shared.
-    """
-
-    def leaf(node: NumberLit | Ref | Range) -> str:
-        if isinstance(node, NumberLit):
-            return number_literal(node.value)
-        if isinstance(node, Ref):
-            return qualifier(node.ref) + cell(node.ref)
-        rng = node.ref
-        return f"{qualifier(rng.start)}{cell(rng.start)}:{cell(rng.end)}"
-
-    pieces: list = []
-    render_pieces(node, leaf, pieces)
-    return "".join(pieces)
-
-
 def render_pieces(node: FormulaAst, leaf: Callable[[FormulaAst], object], out: list) -> None:
     """Append the text of ``node`` to ``out`` in pieces, with minimal
     parentheses: ``leaf(n)`` for each number and reference leaf ``n``,
-    strings for everything else. :func:`render_ast` joins them; the
+    strings for everything else. :func:`serialize_formula` joins them; the
     normalizer keeps a template's leaves as slots to fill per copy class.
     """
     if isinstance(node, (NumberLit, Ref, Range)):
@@ -867,7 +849,17 @@ def serialize_formula(ast: FormulaAst) -> str:
 
     ``parse_formula("=" + serialize_formula(ast))`` reproduces ``ast``.
     """
-    return render_ast(ast, _qualifier, _cell_a1)
+
+    def leaf(node: NumberLit | Ref | Range) -> str:
+        if isinstance(node, NumberLit):
+            return number_literal(node.value)
+        if isinstance(node, Ref):
+            return render_a1(node.ref)
+        return f"{render_a1(node.ref.start)}:{_cell_a1(node.ref.end)}"
+
+    pieces: list = []
+    render_pieces(ast, leaf, pieces)
+    return "".join(pieces)
 
 
 def collect_references(ast: FormulaAst) -> list[Reference | RangeRef]:

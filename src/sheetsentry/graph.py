@@ -529,17 +529,24 @@ def cycle_nodes(g: DepGraph) -> set[Node]:
 def to_dot(g: DepGraph) -> str:
     """Render the graph as DOT text.
 
-    One node per cell named ``"Sheet!A1"``; external links appear as dashed
-    edges out of one box node per external workbook.
+    One node per cell named ``"Sheet!A1"``, with ``\\`` and ``"`` escaped;
+    external links appear as dashed edges out of one box node per external
+    workbook.
     """
     lines = ["digraph workbook {"]
     for node in g.nodes:
-        lines.append(f'  "{node.qualified()}";')
+        lines.append(f"  {_dot_id(node.qualified())};")
     for src, dst in g.edges():
-        lines.append(f'  "{src.qualified()}" -> "{dst.qualified()}";')
+        lines.append(f"  {_dot_id(src.qualified())} -> {_dot_id(dst.qualified())};")
     for book in dict.fromkeys(link.workbook for link in g.external_links):
-        lines.append(f'  "[{book}]" [shape=box];')
+        lines.append(f"  {_dot_id(f'[{book}]')} [shape=box];")
     for link in g.external_links:
-        lines.append(f'  "[{link.workbook}]" -> "{link.source.qualified()}" [style=dashed];')
+        book, source = _dot_id(f"[{link.workbook}]"), _dot_id(link.source.qualified())
+        lines.append(f"  {book} -> {source} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(text: str) -> str:
+    """``text`` as a quoted DOT ID, its ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

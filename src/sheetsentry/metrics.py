@@ -81,16 +81,6 @@ class ScriptMetrics:
     indent_ratio: float
 
 
-def branch_count(ast: FormulaAst) -> int:
-    """Leaf count of a formula's IF-decision tree; 0 when it has no IF.
-
-    Every IF call adds one leaf outcome over the single unconditional
-    path, so a formula with k IF calls reports k + 1 branches.
-    """
-    ifs = sum(1 for node in walk(ast) if isinstance(node, Call) and node.name == "IF")
-    return ifs + 1 if ifs else 0
-
-
 # Cost model: recalculating a cell costs 1 plus its formula's node costs.
 # Aggregates charge the size of each range argument, lookups charge the
 # table's row count (a linear scan), other calls charge 1 plus their
@@ -135,19 +125,6 @@ def _size(c1: int, r1: int, c2: int, r2: int, rows_only: bool) -> int:
     return rows if rows_only else rows * (abs(c2 - c1) + 1)
 
 
-def formula_cost(ast: FormulaAst) -> int:
-    """Modeled recalculation cost of one formula cell (always >= 1).
-
-    A workbook's total is :attr:`WorkbookMetrics.cost_estimate`.
-    """
-    ranges: list[tuple[Range, bool]] = []
-    base = 1 + _node_cost(ast, ranges)
-    return base + sum(
-        _size(rng.ref.start.col, rng.ref.start.row, rng.ref.end.col, rng.ref.end.row, rows_only)
-        for rng, rows_only in ranges
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class ShapeFacts:
     """What the rules and metrics read of one template, found once.
@@ -169,11 +146,12 @@ class ShapeFacts:
 
     @property
     def branches(self) -> int:
-        """:func:`branch_count` of every cell of the template."""
+        """Leaves of the IF-decision tree of each cell of the template: each IF
+        adds one outcome to the unconditional path, so k IFs make k + 1; 0 without."""
         return self.ifs + 1 if self.ifs else 0
 
     def cost(self, cell: tuple) -> int:
-        """:func:`formula_cost` of formula cell ``cell``."""
+        """The modeled recalculation cost of formula cell ``cell``."""
         return self.base + sum(_size(*cell[at:at + 4], rows_only) for at, rows_only in self.ranges)
 
     def literals(self, cell: tuple) -> list[float]:
@@ -206,6 +184,15 @@ def shape_facts(template: Template) -> ShapeFacts:
         base,
         tuple((template.slots[id(rng)][0], rows_only) for rng, rows_only in ranges),
     )
+
+
+def formula_cost(ast: FormulaAst) -> int:
+    """Modeled recalculation cost of one formula cell (always >= 1).
+
+    A workbook's total is :attr:`WorkbookMetrics.cost_estimate`.
+    """
+    template = Template(ast)
+    return shape_facts(template).cost((template, *template.own))
 
 
 def _total_cost(cells: dict[CellAddress, tuple], shapes: dict[Template, ShapeFacts]) -> int:

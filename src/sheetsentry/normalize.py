@@ -13,6 +13,8 @@ qualifiers are uppercased in the text because sheet-name comparison is
 case-insensitive; class identity compares them casefolded, as
 :meth:`Workbook.sheet` matches names, so ``'ı'!A1`` and ``'i'!A1`` (two
 sheets) are two classes and ``'ẞ'!A1`` and ``'SS'!A1`` (one sheet) one.
+A sheet name is quoted by the serializer's rule, so ``'ẞ'!RC[-1]``,
+``'TRUE'!RC`` and ``'.X'!RC`` are quoted and ``Q1!RC`` is not.
 
 :func:`copy_classes` builds no AST. It reads each formula cell as its
 :class:`~sheetsentry.formula.Template` and hole values, and works out per
@@ -21,7 +23,6 @@ text is made of fixed pieces and those values. It takes the cells in one
 pass, in the reading order :func:`parse_all_formulas` yields them (sheet
 order, then row, then column), and relies on that order: each class and
 each member list is built in the order its cells come, and never sorted.
-:func:`normalize` renders one AST and stays for library callers.
 """
 
 from __future__ import annotations
@@ -30,29 +31,29 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formula import (
-    FormulaAst,
     Formulas,
     NumberLit,
     Range,
     Ref,
     Reference,
     Template,
+    _needs_quote,
+    _quote,
     number_literal,
     parse_all_formulas,
-    render_ast,
     render_pieces,
 )
 from .workbook import CellAddress, Workbook
 
-__all__ = ["CopyClass", "normalize", "copy_classes"]
+__all__ = ["CopyClass", "copy_classes"]
 
 
 @dataclass(frozen=True, slots=True)
 class CopyClass:
     """All cells whose formulas share one normalized form.
 
-    ``normalized`` is the text :func:`normalize` gives the representative;
-    every member gives it, up to the case of sheet and workbook names.
+    ``normalized`` is the representative's formula in normalized form;
+    every member's formula has it, up to the case of sheet and workbook names.
     ``members`` is sorted by sheet order, then row, then column; the first
     member serves as the class representative in findings.
     """
@@ -65,44 +66,14 @@ class CopyClass:
         return self.members[0]
 
 
-def _quote_name(name: str) -> str:
-    if all(ch.isalnum() or ch in "_." for ch in name) and name and not name[0].isdigit():
-        return name
-    return "'" + name.replace("'", "''") + "'"
-
-
-def _axis(letter: str, absolute: bool, value: int, origin: int) -> str:
-    if absolute:
-        return f"{letter}{value}"
-    delta = value - origin
-    return letter if delta == 0 else f"{letter}[{delta}]"
-
-
-def _r1c1_cell(ref: Reference, origin: CellAddress) -> str:
-    if ref.external is not None:
-        return f"R{ref.row}C{ref.col}"
-    return _axis("R", ref.abs_row, ref.row, origin.row) + _axis(
-        "C", ref.abs_col, ref.col, origin.col
-    )
-
-
 def _qualifier(ref: Reference, case: Callable[[str], str] = str.upper) -> str:
     """The workbook and sheet prefix of ``ref``, its names mapped by ``case``:
     upper case in normalized text, casefolded in a class's identity."""
-    if ref.external is not None:
-        return f"[{case(ref.external)}]{_quote_name(case(ref.sheet))}!"
-    if ref.sheet is not None:
-        return f"{_quote_name(case(ref.sheet))}!"
-    return ""
-
-
-def normalize(ast: FormulaAst, origin: CellAddress) -> str:
-    """Render a formula in origin-relative form.
-
-    Total on parsed formulas; the origin is the address of the cell that
-    holds the formula.
-    """
-    return render_ast(ast, _qualifier, lambda ref: _r1c1_cell(ref, origin))
+    if ref.sheet is None:
+        return ""
+    sheet = case(ref.sheet)
+    sheet = _quote(sheet) if _needs_quote(sheet) else sheet
+    return f"{sheet}!" if ref.external is None else f"[{case(ref.external)}]{sheet}!"
 
 
 def _qualifier_of(node: Ref | Range) -> Reference:

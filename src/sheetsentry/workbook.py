@@ -115,9 +115,6 @@ class CellValue:
     def is_blank(self) -> bool:
         return self.kind is ValueKind.BLANK
 
-    def is_number(self) -> bool:
-        return self.kind is ValueKind.NUMBER
-
     def is_error(self) -> bool:
         return self.kind is ValueKind.ERROR
 
@@ -291,6 +288,9 @@ class Workbook:
             key = sheet.name.casefold()
             if not sheet.name:
                 raise ValidationError("sheet names must be nonempty")
+            if sheet.name.startswith("["):
+                # a formula would read '[x]y'!A1 as sheet y of workbook x
+                raise ValidationError(f"sheet name {sheet.name!r} may not start with '['")
             if key in index:
                 raise ValidationError(f"duplicate sheet name {sheet.name!r} (case-insensitive)")
             index[key] = pos

@@ -27,8 +27,9 @@ FUNCTION_POOL = [
     "IF", "SUM", "MIN", "MAX", "AND", "OR", "NOT", "ABS",
     "ROUND", "VLOOKUP", "COUNT", "AVERAGE", "FRODD", "IPWOP", "CALC.RATE",
 ]
-SHEET_POOL = [None, None, None, "S1", "Data", "My Sheet", "RATES2024", "It's"]
-EXTERNAL_POOL = ["Rates", "Book1.xlsx"]
+# TRUE and false lex as booleans, so a qualifier must quote them
+SHEET_POOL = [None, None, None, "S1", "Data", "My Sheet", "RATES2024", "It's", "TRUE"]
+EXTERNAL_POOL = ["Rates", "Book1.xlsx", "false"]
 BINARY_OPS = ["+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">="]
 TEXT_ALPHABET = 'abcXYZ 019_."é'
 
@@ -49,7 +50,7 @@ def random_reference(rng: random.Random, allow_external: bool = True) -> Referen
             row=rng.randrange(1, 2000),
             abs_col=rng.random() < 0.3,
             abs_row=rng.random() < 0.3,
-            sheet=rng.choice(["S1", "Data", "It's"]),
+            sheet=rng.choice(["S1", "Data", "It's", "False"]),
             external=rng.choice(EXTERNAL_POOL),
         )
     return Reference(

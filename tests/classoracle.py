@@ -1,13 +1,14 @@
 """The former slow paths of copy classes and of the per-class rules.
 
+:func:`normalize` renders one AST in origin-relative form, walking it as
+the package did before it rendered class texts from the template.
 :func:`copy_classes` groups each template's cells by their values taken
 relative to the cell, fills one AST per group and renders its text with
-:func:`sheetsentry.normalize.normalize`, merges groups of equal text and
-sorts members and classes, as the package did before it rendered class
-texts from the template. The ``check_*`` functions and the two metrics
-below walk the representative's filled AST, as the rules did before they
-read per-template facts. The tests compare the package's results with
-these.
+:func:`normalize`, merges groups of equal text and sorts members and
+classes. :func:`branch_count` and :func:`formula_cost` walk one AST, and
+the ``check_*`` functions and the two metrics below walk the
+representative's filled AST, as the rules did before they read
+per-template facts. The tests compare the package's results with these.
 """
 
 from __future__ import annotations
@@ -19,30 +20,76 @@ from sheetsentry.formula import (
     FormulaAst,
     Formulas,
     NumberLit,
+    Range,
+    Ref,
+    Reference,
     Template,
     Unary,
+    number_literal,
     parse_all_formulas,
-    render_ast,
+    render_pieces,
     walk,
 )
-from sheetsentry.metrics import branch_count, formula_cost
-from sheetsentry.normalize import (
-    CopyClass,
-    _qualifier,
-    _qualifier_of,
-    _r1c1_cell,
-    _relative_values,
-    normalize,
-)
+from sheetsentry.metrics import _node_cost, _size
+from sheetsentry.normalize import CopyClass, _qualifier, _qualifier_of, _relative_values
 from sheetsentry.rules import Finding, RuleConfig, _finding
 from sheetsentry.workbook import CellAddress, Workbook
+
+
+def _axis(letter: str, absolute: bool, value: int, origin: int) -> str:
+    if absolute:
+        return f"{letter}{value}"
+    delta = value - origin
+    return letter if delta == 0 else f"{letter}[{delta}]"
+
+
+def _r1c1_cell(ref: Reference, origin: CellAddress) -> str:
+    if ref.external is not None:
+        return f"R{ref.row}C{ref.col}"
+    return _axis("R", ref.abs_row, ref.row, origin.row) + _axis(
+        "C", ref.abs_col, ref.col, origin.col
+    )
+
+
+def _render(ast: FormulaAst, origin: CellAddress, qualifier) -> str:
+    def leaf(node: NumberLit | Ref | Range) -> str:
+        if isinstance(node, NumberLit):
+            return number_literal(node.value)
+        if isinstance(node, Ref):
+            return qualifier(node.ref) + _r1c1_cell(node.ref, origin)
+        start, end = node.ref.start, node.ref.end
+        return f"{qualifier(start)}{_r1c1_cell(start, origin)}:{_r1c1_cell(end, origin)}"
+
+    pieces: list = []
+    render_pieces(ast, leaf, pieces)
+    return "".join(pieces)
+
+
+def normalize(ast: FormulaAst, origin: CellAddress) -> str:
+    """A formula in origin-relative form; the origin is the address of the
+    cell that holds it. Range corners render in the order the AST holds them."""
+    return _render(ast, origin, _qualifier)
 
 
 def _identity(ast: FormulaAst, origin: CellAddress) -> str:
     """The normalized text with qualifiers casefolded, as the workbook
     matches sheet names: two formulas are copies when these agree."""
-    return render_ast(
-        ast, lambda ref: _qualifier(ref, str.casefold), lambda ref: _r1c1_cell(ref, origin)
+    return _render(ast, origin, lambda ref: _qualifier(ref, str.casefold))
+
+
+def branch_count(ast: FormulaAst) -> int:
+    """Leaf count of a formula's IF-decision tree; 0 when it has no IF."""
+    ifs = sum(1 for node in walk(ast) if isinstance(node, Call) and node.name == "IF")
+    return ifs + 1 if ifs else 0
+
+
+def formula_cost(ast: FormulaAst) -> int:
+    """Modeled recalculation cost of one formula, its range sizes read from the AST."""
+    ranges: list[tuple[Range, bool]] = []
+    base = 1 + _node_cost(ast, ranges)
+    return base + sum(
+        _size(rng.ref.start.col, rng.ref.start.row, rng.ref.end.col, rng.ref.end.row, rows_only)
+        for rng, rows_only in ranges
     )
 
 

@@ -14,11 +14,12 @@ from sheetsentry.evaluate import recompute_workbook, staleness_report
 from sheetsentry.formula import parse_formula, serialize_formula
 from sheetsentry.graph import build_graph
 from sheetsentry.metrics import compute_metrics, formula_cost
-from sheetsentry.normalize import copy_classes, normalize
+from sheetsentry.normalize import copy_classes
 from sheetsentry.report import audit_workbook, render_json, render_text
 from sheetsentry.workbook import CellAddress, CellValue, col_to_letters, load_workbook
 
 from astgen import random_ast
+from classoracle import normalize
 from conftest import addr, make_workbook, scale_grid_doc
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
 from test_normalize import bounded_ast, translate_ast

@@ -279,6 +279,26 @@ class TestSerialize:
         external = Ref(ref(1, 1, sheet="It's", external="Q's"))
         assert serialize_formula(external) == "'[Q''s]It''s'!A1"
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "='TRUE'!A1",
+            "='false'!A1",
+            "='[TRUE]S'!A1",
+            "='[Book]False'!A1",
+            "='$A1'!B2",
+            "='Données'!A1",
+            "='.x'!A1",
+            "=Q1!A1",
+            "=TRUE.x!A1",
+        ],
+    )
+    def test_names_that_lex_as_something_else_round_trip(self, src):
+        # a name is bare only when it lexes as one name that is not a boolean
+        ast = parse_formula(src)
+        assert "=" + serialize_formula(ast) == src
+        assert parse_formula(src) == ast
+
 
 class TestCollectReferences:
     def test_two_refs_in_order(self):

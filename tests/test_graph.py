@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -208,6 +209,23 @@ class TestDot:
     def test_dot_deterministic(self):
         wb = make_workbook({"S": {"A1": 1, "B1": "=A1", "B2": "=A1"}})
         assert to_dot(build_graph(wb)) == to_dot(build_graph(wb))
+
+    def test_dot_ids_escape_quotes_and_backslashes(self):
+        wb = make_workbook({
+            'a"b': {"A1": 1},
+            "c\\d": {"A1": 2},
+            "S": {"B1": "='a\"b'!A1*2", "B2": "='c\\d'!A1", "C1": "='[x\"y]S'!A1"},
+        })
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        statement = re.compile(rf"  {quoted}(?: -> {quoted})?(?: \[[a-z=]+\])?;")
+        lines = to_dot(build_graph(wb)).splitlines()
+        assert lines[0] == "digraph workbook {" and lines[-1] == "}"
+        ids = set()
+        for line in lines[1:-1]:
+            match = statement.fullmatch(line)
+            assert match, line
+            ids.update(re.sub(r"\\(.)", r"\1", g) for g in match.groups() if g is not None)
+        assert ids == {'a"b!A1', "c\\d!A1", "S!B1", "S!B2", '[x"y]', "S!C1"}
 
 
 def reads_from_asts(wb):

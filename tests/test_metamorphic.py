@@ -7,17 +7,22 @@ differ only in a way no finding, class or value may depend on.
 
 from __future__ import annotations
 
+import json
 import random
+import re
+from dataclasses import replace
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sheetsentry.formula import serialize_formula
-from sheetsentry.report import audit_workbook, render_json
+from sheetsentry.formula import Binary, NumberLit, Ref, Reference, parse_formula, serialize_formula
+from sheetsentry.normalize import copy_classes
+from sheetsentry.report import _address_to_json, audit_workbook, render_json, report_to_dict
 from sheetsentry.workbook import Cell, CellValue, Manifest, Sheet, Workbook
 
 from astgen import SHEET_POOL, random_ast
 from evalgen import random_acyclic_workbook
+from test_shapes import map_refs
 
 CACHED = [CellValue.number(0.0), CellValue.number(7.0), CellValue.text("x"), CellValue.boolean(True)]
 
@@ -85,3 +90,101 @@ def test_a_sheet_no_formula_reads_does_not_change_the_report(wb, extra, at):
     sheets = wb.sheets[:at] + [extra] + wb.sheets[at:]
     grown = Workbook(sheets=sheets, manifest=wb.manifest, settings=wb.settings, scripts=wb.scripts)
     assert render_json(audit_workbook(grown)) == render_json(audit_workbook(wb))
+
+
+# Names a sheet is renamed to, each with its qualifier in normalized text:
+# names that must be quoted (an apostrophe, a boolean, non-ASCII letters,
+# a leading dot, a space, a "!"), a reference-shaped name and case variants.
+QUALIFIERS = {
+    "It's": "'IT''S'!",
+    "TRUE": "'TRUE'!",
+    "Données": "'DONNÉES'!",
+    ".x": "'.X'!",
+    "Q1": "Q1!",
+    "a b": "'A B'!",
+    "x!y": "'X!Y'!",
+    "ẞ": "'ẞ'!",
+    "Data": "DATA!",
+    "DATA": "DATA!",
+}
+
+
+def renamed(wb: Workbook, old: str, new: str) -> Workbook:
+    """``wb`` with sheet ``old`` named ``new``, and every reference to
+    either name rewritten to the other through ``serialize_formula``, so
+    each reference still reads what it read."""
+    names = {old.casefold(): new, new.casefold(): old}
+
+    def corner(ref):
+        if ref.external is not None or ref.sheet is None:
+            return ref
+        return replace(ref, sheet=names.get(ref.sheet.casefold(), ref.sheet))
+
+    sheets = []
+    for sheet in wb.sheets:
+        cells = {}
+        for key, cell in sheet.cells.items():
+            if cell.formula is not None:
+                ast = parse_formula(cell.formula)
+                moved = map_refs(ast, corner)
+                if moved != ast:
+                    cell = replace(cell, formula="=" + serialize_formula(moved))
+            cells[key] = cell
+        sheets.append(Sheet(new if sheet.name == old else sheet.name, cells))
+    return Workbook(sheets=sheets, manifest=wb.manifest, settings=wb.settings, scripts=wb.scripts)
+
+
+def with_hole(wb: Workbook, sheet: str) -> Workbook:
+    """``wb`` with a run of copies on "Data" that read ``sheet``, broken by
+    an input: its COPY_CLASS_HOLE finding carries the class's normalized text."""
+    cells = dict(wb.sheet("Data").cells)
+    for row in range(1, 8):
+        ast = Binary("*", Ref(Reference(1, row, sheet=sheet)), NumberLit(3.0))
+        cells[8, row] = Cell(formula="=" + serialize_formula(ast))
+    cells[8, 4] = Cell(cached=CACHED[1])
+    sheets = [Sheet("Data", cells) if s.name == "Data" else s for s in wb.sheets]
+    return Workbook(sheets=sheets, manifest=wb.manifest, settings=wb.settings, scripts=wb.scripts)
+
+
+def swapped(text: str, old: str, new: str) -> str:
+    """Normalized text with the local qualifiers of ``old`` and ``new``
+    swapped; an external one, which follows a "]", is left as it is."""
+    a, b = QUALIFIERS[old], QUALIFIERS[new]
+    qualifier = re.compile(rf"(?<![\]\w.'])(?:{re.escape(a)}|{re.escape(b)})")
+    return qualifier.sub(lambda m: b if m.group() == a else a, text)
+
+
+def mapped_back(doc, old: str, new: str):
+    """Report data of the renamed workbook with the two names swapped back,
+    in addresses and in normalized text."""
+    if isinstance(doc, list):
+        return [mapped_back(item, old, new) for item in doc]
+    if not isinstance(doc, dict):
+        return doc
+    if doc.keys() == {"sheet", "cell"}:
+        return {"sheet": old if doc["sheet"] == new else doc["sheet"], "cell": doc["cell"]}
+    back = {key: mapped_back(value, old, new) for key, value in doc.items()}
+    if "normalized_formula" in doc:
+        back["normalized_formula"] = swapped(doc["normalized_formula"], old, new)
+    return back
+
+
+def classes_data(wb: Workbook) -> list[dict]:
+    """The copy classes of ``wb`` in the shape of report data."""
+    return [
+        {"normalized_formula": c.normalized, "members": [_address_to_json(m) for m in c.members]}
+        for c in copy_classes(wb)
+    ]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(workbooks(), st.sampled_from(["Data", "It's"]), st.sampled_from(sorted(QUALIFIERS)))
+def test_renaming_a_sheet_renames_it_in_the_report(wb, old, new):
+    """Relation (c): a sheet renamed, and the references to it rewritten,
+    gives the same report and copy classes with the name mapped back."""
+    assume(all(new.casefold() != s.name.casefold() for s in wb.sheets if s.name != old))
+    wb = with_hole(wb, old)
+    other = renamed(wb, old, new)
+    got = mapped_back(report_to_dict(audit_workbook(other)), old, new)
+    assert json.dumps(got, indent=2, ensure_ascii=False) + "\n" == render_json(audit_workbook(wb))
+    assert mapped_back(classes_data(other), old, new) == classes_data(wb)

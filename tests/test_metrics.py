@@ -17,14 +17,14 @@ from sheetsentry.cli import main
 from sheetsentry.errors import DomainError
 from sheetsentry.evaluate import Engine, recompute_workbook, staleness_report
 import sheetsentry.formula as formula_module
-from sheetsentry.formula import _Parser, parse_all_formulas, parse_formula, tokenize
+from sheetsentry.formula import Template, _Parser, parse_all_formulas, parse_formula, tokenize
 from sheetsentry.metrics import (
     Analysis,
-    branch_count,
     compute_metrics,
     error_probability,
     formula_cost,
     script_metrics,
+    shape_facts,
 )
 from sheetsentry.report import audit_workbook
 from sheetsentry.rules import RuleConfig, run_rules
@@ -38,6 +38,7 @@ from sheetsentry.workbook import (
     workbook_from_dict,
 )
 
+from classoracle import branch_count
 from conftest import FIXTURES, addr, make_workbook, scale_grid_doc, stored_formula_count, write_wbjson
 from formulaview import formula_view
 
@@ -106,26 +107,31 @@ def leaf_count_oracle(node) -> int:
     return 1
 
 
+def branches(ast) -> int:
+    """The branch count the audit reads of a formula: its template's."""
+    return shape_facts(Template(ast)).branches
+
+
 class TestBranchCount:
     def test_no_conditionals(self):
-        assert branch_count(parse_formula("=A1")) == 0
+        assert branches(parse_formula("=A1")) == 0
 
     def test_single_if(self):
-        assert branch_count(parse_formula("=IF(A1,1,2)")) == 2
+        assert branches(parse_formula("=IF(A1,1,2)")) == 2
 
     def test_six_nested_ifs_report_seven(self):
         ast = parse_formula(nested_ifs(6))
         assert leaf_count_oracle(ast) == 7  # oracle agrees
-        assert branch_count(ast) == 7
+        assert branches(ast) == 7
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
     def test_matches_leaf_count_oracle(self, depth):
         ast = parse_formula(nested_ifs(depth))
-        assert branch_count(ast) == leaf_count_oracle(ast)
+        assert branches(ast) == leaf_count_oracle(ast)
 
     def test_if_inside_condition_counts(self):
         ast = parse_formula("=IF(IF(A1,1,0),2,3)")
-        assert branch_count(ast) == 3
+        assert branches(ast) == 3
 
 
 class TestCostModel:

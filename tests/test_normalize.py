@@ -19,10 +19,11 @@ from sheetsentry.formula import (
     Unary,
     parse_formula,
 )
-from sheetsentry.normalize import copy_classes, normalize
+from sheetsentry.normalize import copy_classes
 from sheetsentry.workbook import CellAddress
 
 from astgen import random_ast
+from classoracle import normalize
 from conftest import addr, make_workbook, stored_formula_count
 
 
@@ -177,6 +178,22 @@ class TestCopyClasses:
     def test_empty_workbook(self):
         wb = make_workbook({"S": {}})
         assert copy_classes(wb) == []
+
+    @pytest.mark.parametrize(
+        "formula,text",
+        [
+            ("='ẞ'!A1", "'ẞ'!RC[-1]"),
+            ("='true'!A1", "'TRUE'!RC[-1]"),
+            ("='.x'!A1", "'.X'!RC[-1]"),
+            ("='$A1'!A1", "'$A1'!RC[-1]"),
+            ("='It''s'!A1", "'IT''S'!RC[-1]"),
+            ("=Q1!A1", "Q1!RC[-1]"),
+            ("='[true]It''s'!A1", "[TRUE]'IT''S'!R1C1"),
+        ],
+    )
+    def test_class_text_quotes_names_as_formulas_do(self, formula, text):
+        [cls] = copy_classes(make_workbook({"S": {"B1": formula}}))
+        assert cls.normalized == text
 
     def test_pooled_across_sheets(self):
         wb = make_workbook({"S1": {"B2": "=A2*2"}, "S2": {"B9": "=A9*2"}})

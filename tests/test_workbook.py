@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheetsentry.cli import main
 from sheetsentry.errors import AddressParseError, FormatError, IoError, ValidationError
 from sheetsentry.workbook import (
     BLANK,
@@ -185,6 +186,19 @@ class TestLoadWorkbook:
         )
         with pytest.raises(ValidationError):
             load_workbook(path)
+
+    @pytest.mark.parametrize("name", ["[x]y", "[a", "["])
+    def test_sheet_name_may_not_start_with_a_bracket(self, tmp_path, capsys, name):
+        # no formula could reference it: '[x]y'!A1 is sheet y of workbook x
+        path = write_wbjson(tmp_path, {"sheets": [{"name": "S"}, {"name": name}]})
+        with pytest.raises(ValidationError):
+            load_workbook(path)
+        assert main(["audit", path]) == 2
+        message = f"sheet name {name!r} may not start with '['"
+        assert capsys.readouterr().err == f"sheetsentry: {message}\n"
+        # elsewhere in the name a bracket is only a character
+        wb = Workbook(sheets=[Sheet("S", {}), Sheet("x[y]", {})])
+        assert wb.sheet("X[Y]") is wb.sheets[1]
 
     def test_value_variants(self, tmp_path):
         path = write_wbjson(
