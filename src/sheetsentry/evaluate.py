@@ -554,6 +554,8 @@ def _to_text(val: CellValue) -> str:
 def _round_half_away(x: float, digits: int) -> float:
     factor = 10.0 ** digits
     scaled = x * factor
+    if math.isinf(scaled):
+        return x  # no digit of x lies below 10**-digits
     return math.copysign(math.floor(abs(scaled) + 0.5), x) / factor
 
 

@@ -26,34 +26,30 @@ A shape's :class:`Template` is the AST of the first text of that shape
 plus where its holes are: the number leaves and the reference corners. A
 formula cell is the tuple of its template and then its hole values --
 numbers, columns and rows -- which is what :func:`parse_all_formulas`
-keeps per cell; no AST is built for it. Whatever depends only on the
-shape is worked out once per template by its readers: copy-class keys
-and texts (:mod:`sheetsentry.normalize`), graph nodes
+keeps per cell, so an audit builds one AST per shape. Whatever depends
+only on the shape is worked out once per template by its readers:
+copy-class keys and texts (:mod:`sheetsentry.normalize`), graph nodes
 (:mod:`sheetsentry.graph`), rule facts and cost (:mod:`sheetsentry.metrics`)
-and evaluation
-(:mod:`sheetsentry.evaluate`). :meth:`Template.fill` builds a cell's AST
-on demand, as :func:`parse_formula` does, and the result always equals a
-fresh parse:
+and evaluation (:mod:`sheetsentry.evaluate`). A hit in the table of
+shapes gives the cell that the text's own parse gives:
 
 - an error is never cached, so every ``ParseError`` comes from a full parse;
 - a text with a row past ``MAX_ROW`` is parsed in full, because the
   tokenizer demotes such a reference to a name or the parser rejects it;
 - a shape that uses a number or reference lexeme as a name (``[1]S!A1``,
-  ``[A1]S!A1``) is never filled.
+  ``[A1]S!A1``) is never shared.
 
 Such texts get a template of their own full parse that no other text
-shares. The table of shapes is process-wide and holds at most
-``_SHAPE_TABLE_SIZE`` of them; past that, it is emptied and starts over,
-which no cell notices, because each keeps its own template. A formula
-deeper than ``MAX_DEPTH`` nodes is a ``ParseError``, which also bounds the
-recursion of a fill and of a compiled evaluator.
+shares. The table is a local of :func:`parse_all_formulas`, one per
+workbook, and each cell keeps its own template; nothing outlives the
+result. A formula deeper than ``MAX_DEPTH`` nodes is a ``ParseError``,
+which also bounds the recursion of a compiled evaluator.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from types import SimpleNamespace
 from dataclasses import dataclass
 from enum import Enum
@@ -293,7 +289,7 @@ MAX_DEPTH = 256
 """Deepest AST a formula may parse to, counted in nodes from root to leaf."""
 
 
-def parse_formula(src: str, *, holes: bool = False) -> FormulaAst | tuple:
+def parse_formula(src: str, *, shapes: dict | None = None) -> FormulaAst | tuple:
     """Parse formula source (with leading ``=``) into an AST.
 
     Raises :class:`ParseError` carrying an offset into ``src`` and the set
@@ -301,27 +297,29 @@ def parse_formula(src: str, *, holes: bool = False) -> FormulaAst | tuple:
     the formula nests deeper than :data:`MAX_DEPTH` or than the parser's
     call stack allows.
 
-    Texts of one shape share a cached template (see "Parsing by shape" in
-    the module docstring); the result always equals a fresh parse. With
-    ``holes=True`` no AST is built: the result is the text's formula cell,
-    its :class:`Template` followed by its hole values, which
-    :meth:`Template.fill` turns into that AST.
+    With ``shapes``, the caller's table of templates by shape (see
+    "Parsing by shape" in the module docstring), no AST is built for a
+    text of a shape in the table: the result is the text's formula cell,
+    its :class:`Template` followed by its hole values. A text of a new
+    shape is parsed in full and its template stored.
     """
     if not src.startswith("="):
         raise ParseError("formula must start with '='", 0, frozenset({"="}))
+    if shapes is None:
+        return _parse(src)
     parts, key = _shape(src)
-    template = _SHAPES.get(key)
+    template = shapes.get(key)
     cell = None if template is None else template.cell(parts)
     if cell is None:
         ast = _parse(src)
         # a row past MAX_ROW was demoted to a name, which says nothing of the shape
-        if key not in _SHAPES and all(int(row) <= MAX_ROW for row in parts[6::_STRIDE] if row):
+        if key not in shapes and all(int(row) <= MAX_ROW for row in parts[6::_STRIDE] if row):
             template = Template(ast, parts)
-            _store(key, template if template.numbers is not None else None)
+            shapes[key] = template if template.numbers is not None else None
         else:
             template = Template(ast)
         cell = (template, *template.own)
-    return cell if holes else template.fill(cell)
+    return cell
 
 
 def _parse(src: str) -> FormulaAst:
@@ -363,7 +361,6 @@ def _depth(ast: FormulaAst) -> int:
 
 _SHAPE_RE = re.compile(rf"({_NUMBER})|({_STRING})|{_REF}(?!\s*!)|({_NAME})")
 _STRIDE = 8  # one piece of text, then the seven groups of the word after it
-_SHAPE_TABLE_SIZE = 4096
 
 
 class Template:
@@ -382,10 +379,10 @@ class Template:
     ``numbers`` and ``corners`` locate the number lexemes and each corner's
     first group in a text's split (see ``_SHAPE_RE``). Both are ``None``
     when the template takes its values from ``ast`` alone; no other text
-    fills it.
+    shares it.
     """
 
-    __slots__ = ("ast", "numbers", "corners", "refs", "slots", "own")
+    __slots__ = ("ast", "numbers", "corners", "refs", "slots", "own", "__weakref__")
 
     def __init__(self, ast: FormulaAst, parts: list | None = None) -> None:
         """The template of ``ast``, filled from the text split into ``parts``
@@ -455,13 +452,6 @@ class Template:
             cell.append(row)
         return tuple(cell)
 
-    def fill(self, cell: tuple) -> FormulaAst:
-        """The AST of formula cell ``cell``: ``ast`` itself when the cell
-        holds ``own``, else a fresh copy holding the cell's values."""
-        if cell[1:] == self.own:
-            return self.ast
-        return _fill(self.ast, cell, self)
-
     def reference(self, cell: tuple, node: Ref | Range) -> Reference | RangeRef:
         """What reference leaf ``node`` of ``ast`` reads in formula cell ``cell``."""
         at, flags = self.slots[id(node)]
@@ -475,65 +465,35 @@ class Template:
         )
 
 
-_SHAPES: dict[tuple, Template | None] = {}
-_SHAPES_WRITE = threading.Lock()  # readers need none: one dict lookup is atomic
-
-
 def _shape(src: str) -> tuple[list, tuple]:
     """The split parts of ``src`` and its shape key."""
     parts = _SHAPE_RE.split(src)
     masked = parts.copy()
-    holes = [None] * (len(parts) // _STRIDE)
-    masked[1::_STRIDE] = masked[4::_STRIDE] = masked[6::_STRIDE] = holes
+    blanks = [None] * (len(parts) // _STRIDE)
+    masked[1::_STRIDE] = masked[4::_STRIDE] = masked[6::_STRIDE] = blanks
     return parts, tuple(masked)
 
 
-def _store(key: tuple, template: Template | None) -> None:
-    """Set the table entry of one shape, keeping the table within its bound."""
-    with _SHAPES_WRITE:
-        if key not in _SHAPES and len(_SHAPES) >= _SHAPE_TABLE_SIZE:
-            # start over: finding the oldest entry of a dict costs a scan
-            _SHAPES.clear()
-        _SHAPES[key] = template
-
-
-def _fill(node: FormulaAst, cell: tuple, template: Template) -> FormulaAst:
-    """A fresh copy of ``template``'s node ``node`` holding the values of ``cell``."""
-    if isinstance(node, Binary):
-        left = _fill(node.left, cell, template)
-        return Binary(node.op, left, _fill(node.right, cell, template))
-    if isinstance(node, Ref):
-        return Ref(template.reference(cell, node))
-    if isinstance(node, NumberLit):
-        return NumberLit(cell[template.slots[id(node)][0]])
-    if isinstance(node, Call) and node.args:
-        return Call(node.name, tuple([_fill(arg, cell, template) for arg in node.args]))
-    if isinstance(node, Unary):
-        return Unary(node.op, _fill(node.operand, cell, template))
-    if isinstance(node, Range):
-        return Range(template.reference(cell, node))
-    return node  # no values below: text, boolean, bare name
-
-
 class Formulas(Mapping[CellAddress, FormulaAst]):
-    """The formula cells of one workbook, as :func:`parse_all_formulas` read them.
+    """The formula cells of workbook ``wb``, as :func:`parse_all_formulas` read them.
 
     ``cells`` maps each address to its formula cell, a :class:`Template`
     followed by its hole values, in the order the cells were parsed. As a
-    mapping it gives each address's AST, filled on first use and then
-    kept, so only the ASTs something reads are built; the audit itself
-    reads none, only ``cells``.
+    mapping it gives each address's AST, parsed from the cell's text on
+    first use and then kept; the audit itself reads none, only ``cells``.
     """
 
-    def __init__(self, cells: dict[CellAddress, tuple]) -> None:
+    def __init__(self, cells: dict[CellAddress, tuple], wb: Workbook) -> None:
         self.cells = cells
+        self.wb = wb
         self._asts: dict[CellAddress, FormulaAst] = {}
 
     def __getitem__(self, addr: CellAddress) -> FormulaAst:
         ast = self._asts.get(addr)
         if ast is None:
-            cell = self.cells[addr]
-            ast = self._asts[addr] = cell[0].fill(cell)
+            if addr not in self.cells:
+                raise KeyError(addr)
+            ast = self._asts[addr] = _parse(self.wb.cell(addr).formula)
         return ast
 
     def __contains__(self, addr: object) -> bool:
@@ -548,8 +508,10 @@ class Formulas(Mapping[CellAddress, FormulaAst]):
 
 def parse_all_formulas(wb: Workbook) -> Formulas:
     """Parse every formula cell once, in reading order (sheet order, then
-    row, then column); raises ParseError naming the cell."""
+    row, then column), with one table of shapes for the workbook; raises
+    ParseError naming the cell."""
     cells: dict[CellAddress, tuple] = {}
+    shapes: dict[tuple, Template | None] = {}
     for sheet in wb.sheets:
         found = [(row, col, cell.formula) for (col, row), cell in sheet.cells.items()
                  if cell.formula is not None]
@@ -557,12 +519,12 @@ def parse_all_formulas(wb: Workbook) -> Formulas:
         for row, col, formula in found:
             addr = CellAddress(sheet.name, col, row)
             try:
-                cells[addr] = parse_formula(formula, holes=True)
+                cells[addr] = parse_formula(formula, shapes=shapes)
             except ParseError as exc:
                 raise ParseError(
                     f"{addr.qualified()}: {exc.message}", exc.offset, exc.expected
                 ) from exc
-    return Formulas(cells)
+    return Formulas(cells, wb)
 
 
 class _Parser:

@@ -5,10 +5,10 @@ cells, copy classes, dependency graph, staleness report, script metrics --
 and builds each at most once, on first use. Metrics and rules both read
 from it, so one audit parses each formula once and recomputes values only
 if something asks for staleness. A formula cell is held as its shape's
-template plus its hole values, and an audit fills no AST: what the rules
-and metrics read of a formula -- its literals, IF and VLOOKUP calls and
-cost -- is found once per template (:class:`ShapeFacts`) and read with a
-cell's values.
+template plus its hole values, and an audit builds one AST per shape:
+what the rules and metrics read of a formula -- its literals, IF and
+VLOOKUP calls and cost -- is found once per template
+(:class:`ShapeFacts`) and read with a cell's values.
 
 The headline number is the chance that a workbook contains at least one
 formula error: with an error rate ``p`` per unique formula and ``n``

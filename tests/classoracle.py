@@ -3,11 +3,11 @@
 :func:`normalize` renders one AST in origin-relative form, walking it as
 the package did before it rendered class texts from the template.
 :func:`copy_classes` groups each template's cells by their values taken
-relative to the cell, fills one AST per group and renders its text with
+relative to the cell, parses one AST per group and renders its text with
 :func:`normalize`, merges groups of equal text and sorts members and
 classes. :func:`branch_count` and :func:`formula_cost` walk one AST, and
 the ``check_*`` functions and the two metrics below walk the
-representative's filled AST, as the rules did before they read
+representative's AST, as the rules did before they read
 per-template facts. The tests compare the package's results with these.
 """
 
@@ -94,7 +94,7 @@ def formula_cost(ast: FormulaAst) -> int:
 
 
 def copy_classes(wb: Workbook, asts: Formulas | None = None) -> list[CopyClass]:
-    """Copy classes from one filled AST and one rendered text per group of
+    """Copy classes from one parsed AST and one rendered text per group of
     a template's cells whose values agree relative to their origins."""
     if asts is None:
         asts = parse_all_formulas(wb)

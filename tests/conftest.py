@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,27 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # CI selects this profile with --hypothesis-profile=ci, so the fuzz
 # properties that read it through fuzz_examples() run longer there.
 settings.register_profile("ci", max_examples=2000)
+
+# Hypothesis's pytest plugin imports this module, and so libcst where it is
+# installed, while it reports a failing property. An old libcst warns on
+# import, which under -W error replaces the falsifying example with an
+# INTERNALERROR; importing it once here, warnings ignored, keeps the example.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
+
+TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Turn warnings into errors in every test here, as CI's ``-W error``
+    does; a test's own ``filterwarnings`` marks still take precedence."""
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def fuzz_examples(local: int) -> int:

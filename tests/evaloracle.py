@@ -1,9 +1,14 @@
 """The engine's former slow path for evaluation: a walk over each cell's AST.
 
-:class:`TreeEngine` evaluates every formula cell by interpreting the AST
-its template fills for it, node by node, as the engine did before formulas
-were compiled per template. The tests check that the compiled evaluators
-give the same values, taint, ``#CIRC!`` cells and external exclusions.
+:class:`TreeEngine` evaluates every formula cell by interpreting its AST,
+node by node, as the engine did before formulas were compiled per
+template. The tests check that the compiled evaluators give the same
+values, taint, ``#CIRC!`` cells and external exclusions.
+
+:func:`fill` builds a formula cell's AST from its template and its hole
+values, as the package did before the parser became the one AST builder.
+It serves :class:`TreeEngine` and the property that a hit in a table of
+shapes gives the cell that the text's own parse gives.
 """
 
 from __future__ import annotations
@@ -40,12 +45,33 @@ from sheetsentry.formula import (
 from sheetsentry.workbook import CellValue, Sheet, ValueKind
 
 
+def fill(cell: tuple) -> FormulaAst:
+    """The AST of formula cell ``cell``: a fresh copy of its template's AST
+    holding the cell's hole values."""
+    template = cell[0]
+
+    def put(node: FormulaAst) -> FormulaAst:
+        if isinstance(node, (Ref, Range)):
+            return type(node)(template.reference(cell, node))
+        if isinstance(node, NumberLit):
+            return NumberLit(cell[template.slots[id(node)][0]])
+        if isinstance(node, Binary):
+            return Binary(node.op, put(node.left), put(node.right))
+        if isinstance(node, Unary):
+            return Unary(node.op, put(node.operand))
+        if isinstance(node, Call):
+            return Call(node.name, tuple(map(put, node.args)))
+        return node  # no values below: text, boolean
+
+    return put(template.ast)
+
+
 class TreeEngine(Engine):
     def _compile(self, template):
         return TreeEngine._walk  # the same walk for every template
 
     def _walk(self, cell: tuple, sheet: Sheet) -> CellValue:
-        return self._eval(cell[0].fill(cell), sheet.name)
+        return self._eval(fill(cell), sheet.name)
 
     def _eval(self, node: FormulaAst, sheet: str) -> CellValue:
         if isinstance(node, NumberLit):

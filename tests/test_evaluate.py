@@ -436,6 +436,8 @@ class TestNonFinite:
         assert eval_one("=ROUND(1234.5678,-2)") == num(1200)
         assert eval_one('="1e3"+1') == num(1001)
         assert eval_one("=SUM(A1:A2)", {"A1": 1e308, "A2": -1e308}) == num(0)
+        assert eval_one("=ROUND(1E300,10)") == num(1e300)
+        assert eval_one("=ROUND(-1E300,10)") == num(-1e300)
 
     @pytest.mark.parametrize(
         "formula",

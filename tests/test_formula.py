@@ -5,8 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import sys
-import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +38,7 @@ from sheetsentry.formula import (
 
 from astgen import random_ast
 from conftest import fuzz_examples
+from evaloracle import fill
 
 
 def ref(col, row, abs_col=False, abs_row=False, sheet=None, external=None):
@@ -402,25 +402,39 @@ def redraw(rng, src):
     return rewrite(src, lexeme_of)
 
 
-class TestParseByShape:
-    """parse_formula fills a cached template per shape; every result, AST or
-    error, equals a full parse of the same text."""
+def through(table, src):
+    """What ``parse_formula`` gives for ``src`` through the shape table
+    ``table``: the cell filled back into an AST and its hole values, or
+    the error's outcome and None."""
+    cell = outcome(partial(parse_formula, shapes=table), src)
+    if cell[0] == "error":
+        return cell, None
+    return fill(cell), cell[1:]
 
-    def assert_twice_like_fresh(self, src):
+
+class TestParseByShape:
+    """parse_formula reads texts through the caller's table of shapes; a
+    hit gives the cell that the text's own parse gives, and every result,
+    AST or error, equals a full parse of the same text."""
+
+    def assert_like_own_parse(self, table, src):
         expected = outcome(fresh_parse, src)
-        assert outcome(parse_formula, src) == expected, src  # a miss, or a fill
-        assert outcome(parse_formula, src) == expected, src  # now a fill when cacheable
+        assert outcome(parse_formula, src) == expected, src
+        own = through({}, src)
+        assert own[0] == expected, src
+        assert through(table, src) == own, src  # a miss, or a hit
+        assert through(table, src) == own, src  # now a hit when the shape is shared
 
     @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_generated_text_and_its_respellings(self, rng):
-        formula_module._SHAPES.clear()
+        table = {}
         canonical = "=" + serialize_formula(random_ast(rng, depth=5))
         for src in (canonical, respell(rng, canonical)):
-            self.assert_twice_like_fresh(src)
+            self.assert_like_own_parse(table, src)
             sibling = redraw(rng, src)
             assert _shape(sibling)[1] == _shape(src)[1]
-            self.assert_twice_like_fresh(sibling)
+            self.assert_like_own_parse(table, sibling)
 
     @pytest.mark.parametrize(
         "first,second",
@@ -438,16 +452,16 @@ class TestParseByShape:
         ],
     )
     def test_pinned_pairs(self, first, second):
-        formula_module._SHAPES.clear()
+        table = {}
         assert _shape(first)[1] == _shape(second)[1]
         for src in (first, second, first):
-            self.assert_twice_like_fresh(src)
+            self.assert_like_own_parse(table, src)
 
     @pytest.mark.parametrize("src", ["=[1]S!A1", "=[A1]S!A1", "=[2.5]S!A1"])
     def test_lexemes_used_as_names_are_never_filled(self, src):
-        formula_module._SHAPES.clear()
-        self.assert_twice_like_fresh(src)
-        assert formula_module._SHAPES[_shape(src)[1]] is None
+        table = {}
+        self.assert_like_own_parse(table, src)
+        assert table[_shape(src)[1]] is None
 
     @pytest.mark.parametrize(
         "first,second",
@@ -460,88 +474,69 @@ class TestParseByShape:
         ],
     )
     def test_reference_shaped_sheet_names_are_filled(self, first, second, monkeypatch):
-        formula_module._SHAPES.clear()
+        table = {}
         assert _shape(first)[1] == _shape(second)[1]
-        assert parse_formula(first) == fresh_parse(first)
-        assert formula_module._SHAPES[_shape(first)[1]] is not None
+        assert fill(parse_formula(first, shapes=table)) == fresh_parse(first)
+        assert table[_shape(first)[1]] is not None
         expected = fresh_parse(second)
-        monkeypatch.setattr(formula_module, "tokenize", None)  # a fill never tokenizes
-        assert parse_formula(second) == expected
+        monkeypatch.setattr(formula_module, "tokenize", None)  # a hit never tokenizes
+        assert fill(parse_formula(second, shapes=table)) == expected
 
     @pytest.mark.parametrize("src", ["=$Q1!A1", "=Q$1!A1", "=Q1!A1!B1", "=A1:B1!C1"])
     def test_reference_shaped_sheet_name_errors_alike(self, src):
-        formula_module._SHAPES.clear()
-        parse_formula("=Q1!A1")
-        self.assert_twice_like_fresh(src)
+        table = {}
+        parse_formula("=Q1!A1", shapes=table)
+        self.assert_like_own_parse(table, src)
 
     def test_out_of_range_row_demotes_on_a_hit(self):
-        formula_module._SHAPES.clear()
+        table = {}
         assert _shape("=A1048577")[1] == _shape("=A1")[1]
-        assert parse_formula("=A1") == Ref(ref(1, 1))
-        assert parse_formula("=A1048577") == Call("A1048577", ())
-        assert parse_formula("=A1048576") == Ref(ref(1, MAX_ROW))
+        for src, ast in [
+            ("=A1", Ref(ref(1, 1))),
+            ("=A1048577", Call("A1048577", ())),
+            ("=A1048576", Ref(ref(1, MAX_ROW))),
+        ]:
+            assert fill(parse_formula(src, shapes=table)) == ast
 
     def test_out_of_range_row_leaves_the_shape_cacheable(self):
-        formula_module._SHAPES.clear()
-        assert parse_formula("=A1048577") == Call("A1048577", ())
-        assert not formula_module._SHAPES
-        parse_formula("=A1")
-        parse_formula("=B2")
-        assert formula_module._SHAPES[_shape("=A1")[1]] is not None
+        table = {}
+        assert fill(parse_formula("=A1048577", shapes=table)) == Call("A1048577", ())
+        assert not table
+        parse_formula("=A1", shapes=table)
+        parse_formula("=B2", shapes=table)
+        assert table[_shape("=A1")[1]] is not None
 
     def test_absolute_out_of_range_row_errors_alike_on_a_hit(self):
-        formula_module._SHAPES.clear()
-        parse_formula("=$A1")
+        table = {}
+        parse_formula("=$A1", shapes=table)
         with pytest.raises(ParseError) as err:
-            parse_formula("=$A2000000")
+            parse_formula("=$A2000000", shapes=table)
         assert (str(err.value), err.value.offset) == (
             "reference '$A2000000' out of range (offset 1)", 1,
         )
-        assert outcome(parse_formula, "=$A2000000") == outcome(fresh_parse, "=$A2000000")
+        self.assert_like_own_parse(table, "=$A2000000")
 
     def test_errors_are_never_cached(self):
-        formula_module._SHAPES.clear()
+        table = {}
         for src in ("=1+", "=SUM(1,)", '="abc', "=1 # 2"):
-            self.assert_twice_like_fresh(src)
-        assert not formula_module._SHAPES
+            self.assert_like_own_parse(table, src)
+        assert not table
 
-    def test_a_hit_neither_tokenizes_nor_shares_nodes(self, monkeypatch):
-        formula_module._SHAPES.clear()
-        parse_formula("=-1+A1*1")
+    def test_a_hit_neither_tokenizes_nor_parses(self, monkeypatch):
+        table = {}
+        first = parse_formula("=-1+A1*1", shapes=table)
         monkeypatch.setattr(formula_module, "tokenize", None)
-        ast = parse_formula("=-2+B3*2")
-        assert ast == fresh_parse("=-2+B3*2")
-        assert ast.left.operand is not ast.right.right
+        monkeypatch.setattr(formula_module, "_Parser", None)
+        cell = parse_formula("=-2+B3*2", shapes=table)
+        assert cell[0] is first[0]
+        assert fill(cell) == fresh_parse("=-2+B3*2")
 
-    def test_threads_share_a_small_table(self, monkeypatch):
-        monkeypatch.setattr(formula_module, "_SHAPE_TABLE_SIZE", 8)
-        formula_module._SHAPES.clear()
-        texts = [f'=A{i % 9 + 1}*{i}&"{i % 40}"' for i in range(400)]
-        expected = [fresh_parse(src) for src in texts]
-        failures = []
-
-        def worker(offset):
-            try:
-                for i in range(len(texts)):
-                    j = (i + offset) % len(texts)
-                    if parse_formula(texts[j]) != expected[j]:
-                        failures.append(texts[j])
-            except Exception as exc:  # a lost race surfaces here, not in the thread
-                failures.append(repr(exc))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k * 97,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert failures == []
-        assert len(formula_module._SHAPES) <= 8
+    def test_tables_and_plain_parses_share_nothing(self):
+        one, other = {}, {}
+        assert parse_formula("=A1*2", shapes=one)[0] is not parse_formula("=B7*3", shapes=other)[0]
+        assert parse_formula("=B7*3", shapes=one)[0] is parse_formula("=A1*2", shapes=one)[0]
+        assert parse_formula("=A1*2") is not parse_formula("=A1*2")
+        assert parse_formula("=A1*2") == parse_formula("=A1*2")
 
     def test_depth_limit(self):
         at_limit = "=" + "+".join(["1"] * MAX_DEPTH)

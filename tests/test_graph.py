@@ -229,7 +229,7 @@ class TestDot:
 
 
 def reads_from_asts(wb):
-    """What each formula cell references, read from its filled AST rather
+    """What each formula cell references, read from its parsed AST rather
     than from the graph's plans: a :class:`CellAddress` per cell reference
     and a :class:`RangeNode` per range, on the sheet :meth:`Workbook.resolve`
     names. References into other workbooks or missing sheets read nothing."""

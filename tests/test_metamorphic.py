@@ -18,7 +18,16 @@ from hypothesis import strategies as st
 from sheetsentry.formula import Binary, NumberLit, Ref, Reference, parse_formula, serialize_formula
 from sheetsentry.normalize import copy_classes
 from sheetsentry.report import _address_to_json, audit_workbook, render_json, report_to_dict
-from sheetsentry.workbook import Cell, CellValue, Manifest, Sheet, Workbook
+from sheetsentry.workbook import (
+    MAX_COL,
+    MAX_ROW,
+    Cell,
+    CellValue,
+    Manifest,
+    Sheet,
+    Workbook,
+    parse_address,
+)
 
 from astgen import SHEET_POOL, random_ast
 from evalgen import random_acyclic_workbook
@@ -188,3 +197,85 @@ def test_renaming_a_sheet_renames_it_in_the_report(wb, old, new):
     got = mapped_back(report_to_dict(audit_workbook(other)), old, new)
     assert json.dumps(got, indent=2, ensure_ascii=False) + "\n" == render_json(audit_workbook(wb))
     assert mapped_back(classes_data(other), old, new) == classes_data(wb)
+
+
+def corners(wb: Workbook):
+    """Every cell key and every in-workbook reference corner of ``wb``, as (col, row)."""
+    found = []
+    for sheet in wb.sheets:
+        for key, cell in sheet.cells.items():
+            found.append(key)
+            if cell.formula is not None:
+                map_refs(parse_formula(cell.formula), lambda ref: found.append((ref.col, ref.row)) or ref)
+    return found
+
+
+def translated(wb: Workbook, dr: int, dc: int) -> Workbook:
+    """``wb`` with every cell and every reference into the workbook, relative
+    or absolute, moved by ``dr`` rows and ``dc`` columns; a reference into
+    another workbook stays. Every formula is written by ``serialize_formula``."""
+
+    def corner(ref):
+        if ref.external is not None:
+            return ref
+        return replace(ref, col=ref.col + dc, row=ref.row + dr)
+
+    sheets = []
+    for sheet in wb.sheets:
+        cells = {}
+        for (col, row), cell in sheet.cells.items():
+            if cell.formula is not None:
+                moved = map_refs(parse_formula(cell.formula), corner)
+                cell = replace(cell, formula="=" + serialize_formula(moved))
+            cells[col + dc, row + dr] = cell
+        sheets.append(Sheet(sheet.name, cells))
+    return Workbook(sheets=sheets, manifest=wb.manifest, settings=wb.settings, scripts=wb.scripts)
+
+
+# an absolute row or column in normalized text: R5, C12 (or a name that looks like one)
+ABSOLUTE = re.compile(r"[RC][0-9]")
+
+
+def audit_facts(wb: Workbook, dr: int, dc: int):
+    """What an audit of ``wb`` finds, with every address moved by ``dr``
+    rows and ``dc`` columns: the metrics, the copy classes (their text
+    only where it holds no absolute coordinate), each finding's rule and
+    locations, the stale entries, the exclusions and the external links."""
+
+    def back(doc):
+        col, row, _, _ = parse_address(doc["cell"])
+        return doc["sheet"], col + dc, row + dr
+
+    report = report_to_dict(audit_workbook(wb))
+    staleness = report["staleness"]
+    classes = [
+        (
+            [(m.sheet, m.col + dc, m.row + dr) for m in c.members],
+            None if ABSOLUTE.search(c.normalized) else c.normalized,
+        )
+        for c in copy_classes(wb)
+    ]
+    return (
+        report["metrics"],
+        classes,
+        sorted((f["rule_id"], [back(a) for a in f["locations"]]) for f in report["findings"]),
+        [(back(e["location"]), e["cached"], e["recomputed"], e["relative_delta"])
+         for e in staleness["entries"]],
+        [back(a) for a in staleness["external_exclusions"]],
+        [(back(link["source"]), link["workbook"], link["sheet"], link["target"])
+         for link in report["external_links"]],
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(workbooks(), st.integers(-3000, 3000), st.integers(-300, 300))
+def test_translating_every_cell_and_reference_moves_the_report(wb, dr, dc):
+    """Relation (b): every cell and in-workbook reference moved by (dr, dc)
+    inside the sheet bounds gives the same classes, findings per rule,
+    stale set, exclusions and metrics, with the addresses moved back."""
+    cols, rows = zip(*corners(wb))
+    assume(max(rows) + abs(dr) <= MAX_ROW and max(cols) + abs(dc) <= MAX_COL)
+    # one side stays where it was, so a move up or left fits as well as one down or right
+    base = translated(wb, max(-dr, 0), max(-dc, 0))
+    moved = translated(wb, max(dr, 0), max(dc, 0))
+    assert audit_facts(moved, -dr, -dc) == audit_facts(base, 0, 0)

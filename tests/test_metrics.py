@@ -356,7 +356,6 @@ class TestParserWork:
     def test_scale_grid_parses_one_shape(self, tmp_path, monkeypatch):
         path = write_wbjson(tmp_path, scale_grid_doc())
         wb = load_workbook(path)
-        monkeypatch.setattr(formula_module, "_SHAPES", {})
         calls = count_calls(monkeypatch, parse_formula)
         # the parser's own lexing; LONG_FORMULA also tokenizes each class once
         tokenizes = [0]
@@ -375,9 +374,7 @@ class TestParserWork:
         monkeypatch.setattr(_Parser, "parse", counting_parse)
         report = audit_workbook(wb)
         assert report.metrics.formula_cells == calls[0] == stored_formula_count(wb) == 100_000
-        shapes = len(formula_module._SHAPES)
-        assert shapes == 1
-        assert tokenizes[0] <= shapes and parses[0] <= shapes
+        assert tokenizes[0] == parses[0] == 1  # the one shape, parsed in full once
 
 
 def synthetic_workbook(n_classes: int):

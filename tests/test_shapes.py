@@ -6,14 +6,16 @@ relative to the cell and their texts rendered from the template, graph
 nodes are read from the holes, the per-class rules read per-template
 facts, and each template compiles once into an evaluator. The tests here
 check each fast path against the per-cell slow path it replaced:
-normalized text per cell, the filled-AST classes and rules in
+normalized text per cell, the per-cell-AST classes and rules in
 ``classoracle``, and the tree-walking evaluator in ``evaloracle``.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
+import weakref
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -27,13 +29,14 @@ from sheetsentry.formula import (
     Binary,
     Call,
     FormulaAst,
+    Formulas,
     Range,
     Ref,
     Reference,
-    Template,
     TokenKind,
     Unary,
     make_range,
+    parse_all_formulas,
     parse_formula,
     serialize_formula,
     tokenize,
@@ -270,22 +273,22 @@ class TestCompiledEvaluation:
 
 
 class TestWorkPerShape:
-    """An audit fills no AST: criterion 8's grid (100,000 formula cells,
-    400 classes, one shape) and a workbook of small classes."""
+    """An audit builds one AST per shape: criterion 8's grid (100,000
+    formula cells, 400 classes, one shape) and a workbook of small classes."""
 
-    def test_no_ast_and_one_evaluator_per_shape(self, monkeypatch):
-        fills, compiles = [0], [0]
-        fill, compile_template = Template.fill, evaluate_module.compile_template
+    def test_one_ast_and_one_evaluator_per_shape(self, monkeypatch):
+        parses, compiles = [0], [0]
+        parse, compile_template = formula_module._parse, evaluate_module.compile_template
 
-        def counting_fill(self, cell):
-            fills[0] += 1
-            return fill(self, cell)
+        def counting_parse(src):
+            parses[0] += 1
+            return parse(src)
 
         def counting_compile(template):
             compiles[0] += 1
             return compile_template(template)
 
-        monkeypatch.setattr(Template, "fill", counting_fill)
+        monkeypatch.setattr(formula_module, "_parse", counting_parse)
         monkeypatch.setattr(evaluate_module, "compile_template", counting_compile)
         a = Analysis(workbook_from_dict(scale_grid_doc()))
         metrics = compute_metrics(a)
@@ -294,7 +297,7 @@ class TestWorkPerShape:
         shapes = {cell[0] for cell in a.asts.cells.values()}
         assert metrics.formula_cells == 100_000 and metrics.unique_formulae == 400
         assert len(shapes) == 1
-        assert fills[0] == 0
+        assert parses[0] == len(shapes)
         assert compiles[0] == len(shapes)
 
     def test_audit_of_small_classes_fills_and_renders_no_ast(self, monkeypatch):
@@ -311,10 +314,10 @@ class TestWorkPerShape:
         wb = make_workbook({"Calc": calc, "Inputs": {f"A{r}": r for r in range(1, 2001)}})
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an audit filled or rendered an AST")
+            raise AssertionError("an audit read a cell's AST or rendered an AST")
 
-        monkeypatch.setattr(Template, "fill", refuse)
         for module, name in [
+            (Formulas, "__getitem__"),
             (formula_module, "serialize_formula"),
             (metrics_module, "formula_cost"),
         ]:
@@ -326,15 +329,38 @@ class TestWorkPerShape:
             "HARDCODED_CONSTANT", "DEEP_NESTING", "LOOKUP_HOTSPOT", "STALE_VALUE"
         }
 
-    def test_cells_keep_their_templates(self, monkeypatch):
-        # a shape table emptied on every store leaves each cell its template
-        monkeypatch.setattr(formula_module, "_SHAPE_TABLE_SIZE", 1)
-        formula_module._SHAPES.clear()
-        wb = make_workbook({"S": {"A1": 2, "B1": ("=A1*3", 6), "C1": ("=A1+B1", 8), "B2": ("=A2*4", 0)}})
-        report = audit_workbook(wb)
-        assert report.metrics.unique_formulae == 3
-        assert report.stale_entries == ()
-        assert len(formula_module._SHAPES) <= 1
+    def test_cells_keep_their_templates(self):
+        # two workbooks of one shape: each parse has a table of its own, so
+        # neither holds the other's template, and each audits as if alone
+        sheets = [
+            {"A1": 2, "B1": ("=A1*3", 6), "C1": ("=A1+B1", 8), "B2": ("=A2*4", 0)},
+            {"A1": 5, "B1": ("=A1*7", 35), "C1": ("=A1+B1", 1)},
+        ]
+        wbs = [make_workbook({"S": cells}) for cells in sheets]
+        first, second = (parse_all_formulas(wb).cells for wb in wbs)
+        b1, c1 = CellAddress("S", 2, 1), CellAddress("S", 3, 1)
+        assert first[b1][0] is first[CellAddress("S", 2, 2)][0]
+        assert first[b1][0] is not second[b1][0] and first[c1][0] is not second[c1][0]
+        assert first[b1][1:] == (3.0, 1, 1) and second[b1][1:] == (7.0, 1, 1)
+        reports = [audit_workbook(wb) for wb in wbs]
+        assert [r.metrics.unique_formulae for r in reports] == [3, 2]
+        assert reports[0].stale_entries == ()
+        assert [e.address for e in reports[1].stale_entries] == [c1]
+
+    def test_a_dropped_result_leaves_no_template_alive(self):
+        wb = make_workbook({"S": {"A1": 2, "B1": "=A1*3", "B2": "=A2*3", "C1": '=IF(B1>1,"x",B1)'}})
+        asts = parse_all_formulas(wb)
+        templates = [weakref.ref(cell[0]) for cell in asts.cells.values()]
+        assert asts[CellAddress("S", 3, 1)] == parse_formula('=IF(B1>1,"x",B1)')
+        del asts
+        assert [ref() for ref in templates] == [None] * 3
+        a = Analysis(wb)
+        run_rules(a, RuleConfig())
+        compute_metrics(a)
+        templates = [weakref.ref(cell[0]) for cell in a.asts.cells.values()]
+        del a
+        gc.collect()
+        assert [ref() for ref in templates] == [None] * 3
 
 
 def test_oracle_module_is_outside_the_package():
