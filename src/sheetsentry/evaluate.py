@@ -318,7 +318,7 @@ class Engine:
             self._current_tainted = False
             val = evaluator(self, cell, sheet)
             if val.kind is _NUMBER:
-                if not math.isfinite(val.value):
+                if val.value - val.value != 0.0:
                     # a NaN or infinite input, which only a Workbook built in
                     # memory can hold, read through a reference unchanged
                     val = _VALUE_ERR
@@ -522,7 +522,7 @@ def _to_number(val: CellValue) -> float | None:
 
 def _finite(x: float) -> CellValue:
     """A number result, or ``#VALUE!`` (as for ``^`` overflow) if it is NaN or infinite."""
-    return CellValue(ValueKind.NUMBER, x) if math.isfinite(x) else _VALUE_ERR
+    return CellValue(_NUMBER, x) if x - x == 0.0 else _VALUE_ERR
 
 
 def _to_bool(val: CellValue) -> bool | None:
@@ -587,6 +587,8 @@ def _compare(op: str, left: CellValue, right: CellValue) -> CellValue:
 # functions, argument counts, constants, where each leaf's values sit -- is
 # decided here; an evaluation reads only the cell's values. Operands
 # evaluate in source order and the first error wins, as in a spreadsheet.
+# An arithmetic operator whose right operand is a number literal reads the
+# literal's float from the cell as it is, boxing no value for it.
 # The closures never hold the engine, so an engine holding them makes no
 # reference cycle.
 
@@ -624,6 +626,18 @@ def _compile(node: FormulaAst, template: Template) -> Evaluator:
     if kind is NumberLit:
         return _number(template.slots[id(node)][0])
     if kind is Binary:
+        if type(node.right) is NumberLit and node.op in _ARITH:
+            left, apply = _compile(node.left, template), _ARITH[node.op]
+            at = template.slots[id(node.right)][0]
+
+            def literal_right(engine: Engine, cell: tuple, sheet: Sheet) -> CellValue:
+                a = left(engine, cell, sheet)
+                if a.kind is _ERROR:
+                    return a
+                x, b = a.value if a.kind is _NUMBER else _to_number(a), cell[at]
+                # b is infinite where the literal overflowed (1E999)
+                return _VALUE_ERR if x is None or b - b != 0.0 else apply(x, b)
+            return literal_right
         left, right = _compile(node.left, template), _compile(node.right, template)
         apply = _BINARY[node.op]
 
@@ -701,15 +715,19 @@ def _power(a: float, b: float) -> CellValue:
         return _VALUE_ERR
 
 
+# what each arithmetic operator makes of two numbers
+_ARITH: dict[str, Callable[[float, float], CellValue]] = {
+    "+": lambda a, b: _finite(a + b),
+    "-": lambda a, b: _finite(a - b),
+    "*": lambda a, b: _finite(a * b),
+    "/": _divide,
+    "^": _power,
+}
 # what each binary operator makes of two operands that are not errors
 _BINARY: dict[str, Callable[[CellValue, CellValue], CellValue]] = {
     "&": lambda left, right: CellValue.text(_to_text(left) + _to_text(right)),
     **{op: partial(_compare, op) for op in _HOLDS_FOR},
-    "+": _arithmetic(lambda a, b: _finite(a + b)),
-    "-": _arithmetic(lambda a, b: _finite(a - b)),
-    "*": _arithmetic(lambda a, b: _finite(a * b)),
-    "/": _arithmetic(_divide),
-    "^": _arithmetic(_power),
+    **{op: _arithmetic(apply) for op, apply in _ARITH.items()},
 }
 
 
@@ -1002,7 +1020,7 @@ def staleness_report(
         recomputed = values[addr]
         if cached.kind is _NUMBER and recomputed.kind is _NUMBER:
             delta = abs(cached.value - recomputed.value)
-            scale = max(1.0, abs(recomputed.value))
+            scale = x if (x := abs(recomputed.value)) > 1.0 else 1.0
             if delta > NUMERIC_TOLERANCE * scale:
                 entries.append(StalenessEntry(addr, cached, recomputed, delta / scale))
             elif delta != delta:

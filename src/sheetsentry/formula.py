@@ -17,10 +17,11 @@ Parsing by shape. A workbook repeats a few formula shapes over many
 cells, so each shape is tokenized and parsed once and each cell keeps only
 what differs from its shape's. One regex split cuts the text into its
 words; the shape key is the text with every number lexeme and every
-reference's column letters and row digits taken out. The key keeps
-everything else: operators, punctuation and whitespace, string literals,
-names, and each reference's ``$`` signs. A reference-shaped sheet name
-before ``!`` (``Q1!A1``) is a name there, as it is to the parser.
+reference's column letters and row digits taken out, picked from the split
+in one call. The key keeps everything else: operators, punctuation and
+whitespace, string literals, names, and each reference's ``$`` signs. A
+reference-shaped sheet name before ``!`` (``Q1!A1``) is a name there, as it
+is to the parser.
 
 A shape's :class:`Template` is the AST of the first text of that shape
 plus where its holes are: the number leaves and the reference corners. A
@@ -54,6 +55,8 @@ from types import SimpleNamespace
 from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Mapping
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import LexError, ParseError
@@ -354,10 +357,11 @@ def _depth(ast: FormulaAst) -> int:
 #
 # ``_SHAPE_RE.split`` cuts a formula into the text between words and, per
 # word, seven groups: number, string, column ``$``, column letters, row
-# ``$``, row digits, name. The shape key is that list with the number
-# lexemes, column letters and row digits blanked out; a template reads them
-# back from the same list by index. A reference before ``!`` is split as a
-# name, because the parser reads it as a sheet name.
+# ``$``, row digits, name. The shape key is the tuple of that list's other
+# groups, taken in one ``itemgetter`` call per part count; a template reads
+# the number lexemes, column letters and row digits back from the same list
+# by index. A reference before ``!`` is split as a name, because the parser
+# reads it as a sheet name.
 
 _SHAPE_RE = re.compile(rf"({_NUMBER})|({_STRING})|{_REF}(?!\s*!)|({_NAME})")
 _STRIDE = 8  # one piece of text, then the seven groups of the word after it
@@ -465,13 +469,17 @@ class Template:
         )
 
 
-def _shape(src: str) -> tuple[list, tuple]:
+def _shape(src: str) -> tuple[list, tuple | str]:
     """The split parts of ``src`` and its shape key."""
     parts = _SHAPE_RE.split(src)
-    masked = parts.copy()
-    blanks = [None] * (len(parts) // _STRIDE)
-    masked[1::_STRIDE] = masked[4::_STRIDE] = masked[6::_STRIDE] = blanks
-    return parts, tuple(masked)
+    return parts, _kept(len(parts))(parts)
+
+
+@lru_cache(maxsize=256)
+def _kept(n: int) -> itemgetter:
+    """The shape key of a split into ``n`` parts: every group but the number
+    lexemes, column letters and row digits (a text without words is its own)."""
+    return itemgetter(*(i for i in range(n) if i % _STRIDE not in (1, 4, 6)))
 
 
 class Formulas(Mapping[CellAddress, FormulaAst]):
@@ -511,13 +519,14 @@ def parse_all_formulas(wb: Workbook) -> Formulas:
     row, then column), with one table of shapes for the workbook; raises
     ParseError naming the cell."""
     cells: dict[CellAddress, tuple] = {}
-    shapes: dict[tuple, Template | None] = {}
+    shapes: dict[tuple | str, Template | None] = {}
+    new = tuple.__new__
     for sheet in wb.sheets:
         found = [(row, col, cell.formula) for (col, row), cell in sheet.cells.items()
                  if cell.formula is not None]
         found.sort()  # (row, col) is unique, so formula texts are never compared
         for row, col, formula in found:
-            addr = CellAddress(sheet.name, col, row)
+            addr = new(CellAddress, (sheet.name, col, row))  # CellAddress's own __new__, inlined
             try:
                 cells[addr] = parse_formula(formula, shapes=shapes)
             except ParseError as exc:

@@ -183,6 +183,53 @@ class TestBlankResult:
         assert (entry.cached, entry.recomputed) == (BLANK, num(0))
 
 
+class TestLiteralOperands:
+    """An arithmetic operator whose right operand is a number literal reads
+    the literal as a float; every outcome is the generic operator's. A7 is
+    blank. Results are compared by ``repr``, so ``-0.0`` keeps its sign."""
+
+    INPUTS = {"A1": 2, "A2": "x", "A3": True, "A4": err("#N/A"), "A5": 1e308, "A6": -3}
+
+    @pytest.mark.parametrize(
+        "formula,expected",
+        [
+            *[(f, err("#VALUE!")) for f in
+              ["=A1*1E999", "=A1/1E999", "=A2*1E999", "=A2*2", "=A5*10", "=A6^0.5",
+               "=1E999*A4", "=A1+1E999+A4"]],
+            ("=A4*1E999", err("#N/A")),
+            ("=A4+1", err("#N/A")),
+            ("=A3*2", num(2)),
+            ("=A7*2", num(0)),
+            ("=A1/0", err("#DIV/0!")),
+            ("=0^-1", err("#DIV/0!")),
+            ("=A6^0", num(1)),
+            ("=A6*0", num(-0.0)),
+            ("=A6-1.5", num(-4.5)),
+            ("=(A1+A6)*2.5", num(-2.5)),
+            ("=2*3", num(6)),
+            ('="4"/2', num(2)),
+        ],
+    )
+    def test_outcome(self, formula, expected):
+        assert repr(eval_one(formula, self.INPUTS)) == repr(expected)
+
+    def test_no_value_is_built_for_the_literal(self, monkeypatch):
+        n = 300
+        cells = {f"A{r}": r for r in range(1, n + 1)}
+        cells.update({f"B{r}": f"=A{r}*{r % 7 + 2}" for r in range(1, n + 1)})
+        engine = Engine(make_workbook({"S": cells}))
+        built, init = [0], CellValue.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellValue, "__init__", counting_init)
+        engine.run()
+        assert built[0] == n  # one result per cell
+        assert engine.values[addr("S", f"B{n}")] == num(n * (n % 7 + 2))
+
+
 class TestWorkbookRecompute:
     def test_simple(self):
         wb = make_workbook({"S": {"A1": 2, "B1": "=A1*3"}})

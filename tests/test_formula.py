@@ -27,6 +27,8 @@ from sheetsentry.formula import (
     TokenKind,
     Unary,
     _BINARY_LEVEL,
+    _SHAPE_RE,
+    _STRIDE,
     _Parser,
     _shape,
     collect_references,
@@ -402,6 +404,27 @@ def redraw(rng, src):
     return rewrite(src, lexeme_of)
 
 
+def masked_key(src):
+    """The shape key by its definition, the oracle of ``_shape``'s: the
+    whole split with the number lexemes, column letters and row digits
+    blanked out."""
+    parts = _SHAPE_RE.split(src)
+    masked = parts.copy()
+    blanks = [None] * (len(parts) // _STRIDE)
+    masked[1::_STRIDE] = masked[4::_STRIDE] = masked[6::_STRIDE] = blanks
+    return tuple(masked)
+
+
+# texts whose words are odd: reference-shaped sheet and workbook names, rows
+# past MAX_ROW, quoted names, and texts with no word at all
+EDGE_TEXTS = [
+    "=Q1!A1", "=Q1!B7", "=Q1 !A1", "=[1]S!A1", "=[2]S!B3", "=[2.5]S!A1", "=[A1]S!A1",
+    "=[B7]S!C2", "=A1048576", "=A1048577", "=A2000000", "=$A2000000", "=A1048577!B1",
+    "='My Sheet'!A1", "='My Sheet'!xfd9", "='It''s'!A1", "='Q1'!A1", "='[x]y'!A1",
+    '="A1"&A1', '="A1"&ZZ77', "=(", "=()", "=+", "=-(", "=",
+]
+
+
 def through(table, src):
     """What ``parse_formula`` gives for ``src`` through the shape table
     ``table``: the cell filled back into an AST and its hole values, or
@@ -530,6 +553,18 @@ class TestParseByShape:
         cell = parse_formula("=-2+B3*2", shapes=table)
         assert cell[0] is first[0]
         assert fill(cell) == fresh_parse("=-2+B3*2")
+
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(st.randoms(use_true_random=False), st.lists(st.text("A1$!'\"[]:.eE+ (Q9_", max_size=12)))
+    def test_key_partitions_texts_as_the_masked_split(self, rng, junk):
+        texts = EDGE_TEXTS + ["=" + text for text in junk]
+        for _ in range(4):
+            src = "=" + serialize_formula(random_ast(rng, depth=4))
+            texts += [src, redraw(rng, src), respell(rng, src)]
+            texts.append(redraw(rng, texts[-1]))
+        # two texts share a key exactly when they share the masked split
+        pairs = {(masked_key(src), _shape(src)[1]) for src in texts}
+        assert len(pairs) == len({old for old, _ in pairs}) == len({new for _, new in pairs})
 
     def test_tables_and_plain_parses_share_nothing(self):
         one, other = {}, {}

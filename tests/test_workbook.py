@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import pickle
 import re
 import string
 
@@ -15,11 +17,13 @@ from sheetsentry.errors import AddressParseError, FormatError, IoError, Validati
 from sheetsentry.workbook import (
     BLANK,
     CalcMode,
+    Cell,
     CellValue,
     MAX_COL,
     MAX_ROW,
     Workbook,
     Sheet,
+    ValueKind,
     col_to_letters,
     format_number,
     letters_to_col,
@@ -156,6 +160,60 @@ class TestCellValue:
         assert format_number(2.5) == "2.5"
         assert format_number(0.0) == "0"
         assert format_number(1 / 3) == "0.333333333333333"
+
+
+RECORDS = [
+    CellValue.number(2.5), CellValue.text("x"), CellValue.boolean(False),
+    CellValue.error("#N/A"), BLANK, Cell(), Cell("=A1"), Cell("=A1*2", CellValue.number(4.0)),
+]
+
+
+class TestRecords:
+    """CellValue and Cell define their own ``__init__`` and stay frozen,
+    slotted dataclasses: assignment, eq, hash, repr, ``replace`` and pickling
+    are the generated ones."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_fields_cannot_be_assigned(self, record):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        assert not hasattr(record, "__dict__")
+
+    def test_equal_values_hash_equal(self):
+        pairs = [
+            (CellValue(ValueKind.NUMBER, 2.0), CellValue.number(2)),
+            (CellValue(ValueKind.BLANK), BLANK),
+            (Cell("=A1", BLANK), Cell(formula="=A1")),
+            (Cell(cached=CellValue.text("t")), Cell(None, CellValue(value="t", kind=ValueKind.TEXT))),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert CellValue.number(1.0) != CellValue.number(2.0)
+        assert Cell("=A1") != Cell("=A2")
+
+    def test_repr(self):
+        assert repr(CellValue.number(2.5)) == "CellValue(kind=<ValueKind.NUMBER: 'number'>, value=2.5)"
+        assert repr(Cell("=A1", CellValue.text("a"))) == (
+            "Cell(formula='=A1', cached=CellValue(kind=<ValueKind.TEXT: 'text'>, value='a'))"
+        )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_replace_and_pickle_round_trip(self, record):
+        for f in dataclasses.fields(record):
+            again = dataclasses.replace(record, **{f.name: getattr(record, f.name)})
+            assert type(again) is type(record) and again == record
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(record, protocol))
+            assert type(again) is type(record) and again == record
+        assert dataclasses.replace(Cell(), formula="=B2") == Cell("=B2", BLANK)
+        assert dataclasses.replace(CellValue.number(1.0), value=3.0) == CellValue.number(3.0)
+
+    def test_defaults(self):
+        assert (Cell().formula, Cell().cached) == (None, BLANK)
+        assert (Cell(formula="=A1").formula, Cell(formula="=A1").cached) == ("=A1", BLANK)
+        assert CellValue(ValueKind.BLANK).value is None
+        assert CellValue(ValueKind.ERROR).value is None
 
 
 class TestLoadWorkbook:
