@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
+from importlib import import_module
 
 from .errors import SheetSentryError
-from .graph import build_graph, to_dot
-from .metrics import DEFAULT_ERROR_RATE, compute_metrics
-from .report import audit_workbook, metrics_table, metrics_to_dict, render_json, render_text
-from .rules import RULES, RuleConfig, Severity
 from .version import VERSION
-from .workbook import load_workbook
 
 CONFIG_ENV_VAR = "SHEETSENTRY_CONFIG"
 
@@ -41,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--p",
         type=float,
-        default=DEFAULT_ERROR_RATE,
         help="error rate per unique formula (default 0.01)",
     )
     audit.add_argument(
@@ -54,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser("metrics", help="compute workbook metrics only")
     metrics.add_argument("file", metavar="FILE")
     metrics.add_argument("--format", choices=("text", "json"), default="text")
-    metrics.add_argument("--p", type=float, default=DEFAULT_ERROR_RATE)
+    metrics.add_argument("--p", type=float)
 
     graph = sub.add_parser("graph", help="dependency graph inspection")
     graph.add_argument("file", metavar="FILE")
@@ -66,20 +60,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None) -> RuleConfig:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        return RuleConfig()
-    return RuleConfig.from_file(path)
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    from .metrics import DEFAULT_ERROR_RATE
+    from .report import audit_workbook, render_json, render_text
+    from .rules import RuleConfig, Severity
+
+    p = DEFAULT_ERROR_RATE if args.p is None else args.p
+    config = os.environ.get(CONFIG_ENV_VAR) if args.config is None else args.config
+    cfg = RuleConfig() if config is None else RuleConfig.from_file(config)
     threshold = Severity.from_label(args.fail_on)
     worst = 0
     for path in args.files:
-        report = audit_workbook(path, cfg=cfg, p=args.p)
+        report = audit_workbook(path, cfg=cfg, p=p)
         if args.format == "json":
             sys.stdout.write(render_json(report))
         else:
@@ -90,7 +82,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    metrics = compute_metrics(load_workbook(args.file), p=args.p)
+    import json
+
+    from .metrics import DEFAULT_ERROR_RATE, compute_metrics
+    from .report import metrics_table, metrics_to_dict
+    from .workbook import load_workbook
+
+    p = DEFAULT_ERROR_RATE if args.p is None else args.p
+    metrics = compute_metrics(load_workbook(args.file), p=p)
     if args.format == "json":
         doc = {"workbook": args.file, **metrics_to_dict(metrics)}
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -100,6 +99,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .graph import build_graph, to_dot
+    from .workbook import load_workbook
+
     wb = load_workbook(args.file)
     graph = build_graph(wb)
     if args.dot:
@@ -114,6 +116,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .rules import RULES, RuleConfig
+
     info = RULES.get(args.rule_id.upper())
     if info is None:
         sys.stderr.write(
@@ -139,23 +143,29 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's handler and the module whose import loads all it runs.
+_COMMANDS = {
+    "audit": (_cmd_audit, "report"),
+    "metrics": (_cmd_metrics, "report"),
+    "graph": (_cmd_graph, "graph"),
+    "explain": (_cmd_explain, "rules"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command, module = _COMMANDS[args.command]
+    # Imported before the collector is paused, so that the garbage importing
+    # makes is still collected.
+    import_module(f".{module}", __package__)
     # A one-shot process whose pipeline allocates no reference cycles
     # (pinned by tests/test_collector.py::TestNoCyclicGarbage): automatic
     # collection would only rescan the live formula cells and graph, so pause it.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        if args.command == "explain":
-            return _cmd_explain(args)
+        return command(args)
     except SheetSentryError as exc:
         sys.stderr.write(f"sheetsentry: {exc}\n")
         return 2
@@ -165,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ the file was saved in an inconsistent state (edited inputs with manual
 recalculation off, overwritten results, and similar hazards).
 
 Semantics follow mainstream spreadsheet behavior: blanks act as zero in
-arithmetic and a formula whose result is a blank cell holds 0, comparisons
+arithmetic and a formula whose result is a blank cell holds 0, text reads
+as a number only when it is an ASCII number between spaces, comparisons
 order mixed types as number < text < boolean, text comparison is
 case-insensitive, errors propagate through operators, and cells on a
 reference cycle evaluate to ``#CIRC!``. References into
@@ -53,6 +54,7 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from .formula import (
+    NUMERIC_TEXT_RE,
     Binary,
     BoolLit,
     Call,
@@ -511,11 +513,11 @@ def _to_number(val: CellValue) -> float | None:
     if val.kind is ValueKind.BOOLEAN:
         return 1.0 if val.value else 0.0
     if val.kind is ValueKind.TEXT:
-        try:
-            num = float(val.value.strip())
-        except ValueError:
+        # float() alone would also take "1_000", "nan", non-ASCII digits and a no-break space
+        if NUMERIC_TEXT_RE.fullmatch(val.value) is None:
             return None
-        # "nan", "inf" and "1e999" are not numbers a cell can hold
+        num = float(val.value)
+        # "1e999" is not a number a cell can hold
         return num if math.isfinite(num) else None
     return None
 

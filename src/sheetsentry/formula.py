@@ -100,6 +100,9 @@ _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _STRING = r'"(?:[^"]|"")*"'
 _REF = r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]{0,6})(?![A-Za-z0-9_.$])"
 _NAME = r"[A-Za-z_][A-Za-z0-9_.]*|'(?:[^']|'')*'"
+# Text a formula reads as a number (``="12"*1``): a number lexeme, signed,
+# with ASCII spaces around it.
+NUMERIC_TEXT_RE = re.compile(rf" *[+-]?{_NUMBER} *")
 
 _TOKEN_RE = re.compile(
     rf"""

@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import FormatError
-from .evaluate import StalenessReport
 from .formula import tokenize
-from .graph import DepGraph
-from .metrics import Analysis, ScriptMetrics
-from .normalize import CopyClass
-from .workbook import CalcMode, CellAddress, Manifest, Workbook, WorkbookSettings, read_json
+from .workbook import CalcMode, CellAddress, read_json
+
+if TYPE_CHECKING:  # annotations only: `explain` reads the rules without the pipeline
+    from .evaluate import StalenessReport
+    from .graph import DepGraph
+    from .metrics import Analysis, ScriptMetrics
+    from .normalize import CopyClass
+    from .workbook import Manifest, Workbook, WorkbookSettings
 
 
 class Severity(enum.IntEnum):

@@ -152,7 +152,7 @@ class TestCliPause:
             def crash(*args, **kwargs):
                 raise RuntimeError("boom")
 
-            monkeypatch.setattr("sheetsentry.cli.audit_workbook", crash)
+            monkeypatch.setattr("sheetsentry.report.audit_workbook", crash)
             case = "clean.json"
         with collector_set_to(enabled):
             code = main(["audit", str(FIXTURES / case)])
@@ -167,7 +167,7 @@ class TestCliPause:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("sheetsentry.cli.audit_workbook", interrupt)
+        monkeypatch.setattr("sheetsentry.report.audit_workbook", interrupt)
         with collector_set_to(enabled):
             with pytest.raises(KeyboardInterrupt):
                 main(["audit", str(FIXTURES / "clean.json")])

@@ -18,6 +18,7 @@ from sheetsentry.graph import (
     schedule,
     topo_order,
 )
+from sheetsentry.report import audit_workbook
 from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
 
 from conftest import addr, make_workbook, reverse_sort_key
@@ -64,6 +65,25 @@ class TestScalars:
 
     def test_non_numeric_text_is_value_error(self):
         assert eval_one("=A1*3", {"A1": "two"}) == err("#VALUE!")
+
+    # Text reads as a number only in the ASCII number grammar between ASCII
+    # spaces; Python's float() takes the other spellings too.
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1_000", err("#VALUE!")),
+            ("\uff11", err("#VALUE!")),  # full-width digit one
+            ("\u0661", err("#VALUE!")),  # Arabic-Indic digit one
+            ("12\u00a0", err("#VALUE!")),  # no-break space
+            ("nan", err("#VALUE!")),
+            ("inf", err("#VALUE!")),
+            (" 12 ", num(12)),
+            ("1e5", num(100000)),
+            (".5", num(0.5)),
+        ],
+    )
+    def test_numeric_text_grammar(self, text, expected):
+        assert eval_one(f'="{text}"*1') == expected
 
     def test_boolean_arithmetic(self):
         assert eval_one("=TRUE+1") == num(2)
@@ -335,6 +355,16 @@ class TestCycleScheduling:
         for src, dst in g.edges():
             if src in position and dst in position:
                 assert position[src] < position[dst]
+
+    def test_cycle_through_a_branch_never_taken(self):
+        # a cycle is read off the references, not off the branches an evaluation takes
+        wb = make_workbook({"S": {"A1": ("=IF(TRUE,1,B1)", 1), "B1": ("=A1", 1)}})
+        values = recompute_workbook(wb)
+        assert values[addr("S", "A1")] == err("#CIRC!")
+        assert values[addr("S", "B1")] == err("#CIRC!")
+        stale = [f for f in audit_workbook(wb).findings if f.rule_id == "STALE_VALUE"]
+        assert [f.locations for f in stale] == [(addr("S", "A1"),), (addr("S", "B1"),)]
+        assert [dict(f.evidence)["recomputed"] for f in stale] == [{"err": "#CIRC!"}] * 2
 
     def test_schedule_pops_the_smallest_ready_node(self):
         """Same order as a Kahn loop that keeps every ready node in one heap."""

@@ -261,7 +261,7 @@ class TestCliCommands:
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("sheetsentry.cli.audit_workbook", crash)
+        monkeypatch.setattr("sheetsentry.report.audit_workbook", crash)
         code = main(["audit", str(fixtures_dir / "clean.json")])
         assert code == 2
         assert capsys.readouterr().err == "sheetsentry: internal error: RuntimeError: boom\n"
