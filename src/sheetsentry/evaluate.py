@@ -70,7 +70,7 @@ from .formula import (
     Unary,
     parse_all_formulas,
 )
-from .graph import DepGraph, build_graph, running_total, schedule
+from .graph import DepGraph, build_graph, components, running_total
 from .workbook import (
     BLANK,
     CellAddress,
@@ -252,17 +252,20 @@ class _Prefix:
         return _finite(least if name == "MIN" else most)
 
 
-def _in_order(cells: dict[CellAddress, tuple], linked: set, order: list) -> Iterator[tuple]:
-    """``cells``' items in evaluation order: those not ``linked`` in the
-    scheduling view as they come, then the formula cells of ``order``.
-    A generator, so that no list of a workbook's cells is built."""
-    for item in cells.items():
-        if item[0] not in linked:
-            yield item
-    for node in order:
-        cell = cells.get(node)
-        if cell is not None:
-            yield node, cell
+def _acyclic(cells: dict[CellAddress, tuple], reads: dict, values: dict) -> Iterator[tuple]:
+    """``cells``' items in an order that puts each after the formula cells it
+    reads in the scheduling view ``reads``: one :func:`components` pass from
+    the cells in reading order. The formula cells of each cyclic component
+    are left out and get ``#CIRC!`` in ``values`` as the component completes."""
+    for comp, cyclic in components(reads, cells):
+        if cyclic:
+            for node in comp:
+                if node in cells:
+                    values[node] = _CIRC
+        else:
+            cell = cells.get(comp[0])
+            if cell is not None:
+                yield comp[0], cell
 
 
 class Engine:
@@ -291,24 +294,23 @@ class Engine:
     def run(self) -> None:
         """Evaluate every formula cell, once.
 
-        The formula cells the scheduling view (:attr:`DepGraph.compact`)
-        leaves out read only inputs and go first, in reading order; then its
-        cells follow in :func:`schedule`'s order. Any order that puts
-        precedents first gives the same values, which the tests check by
-        scheduling with the reversed key. Formula cells on a reference cycle
-        get ``#CIRC!`` before anything downstream of them is evaluated.
+        Where the scheduling view (:attr:`DepGraph.compact`) is empty, no
+        formula cell reads another and the cells go in reading order.
+        Otherwise :func:`components` walks what its nodes read from the
+        cells in reading order, and each formula cell is evaluated as soon
+        as its one-cell, acyclic component is complete, so after everything
+        it reads. Any order that puts precedents first gives the same
+        values, which the tests check by handing the engine the cells in
+        reverse. The formula cells of a cyclic component get ``#CIRC!``
+        when it completes, before anything that reads them is evaluated.
         """
         if self._ran:
             return
         cells = self.asts.cells
         values, tainted, compiled = self.values, self.tainted, self._compiled
         sheets = {sheet.name: sheet for sheet in self.wb.sheets}
-        order, in_cycle = schedule(self.graph.compact)
-        for node in in_cycle:
-            if node in cells:
-                values[node] = _CIRC
-        linked = in_cycle.union(order)
-        work = _in_order(cells, linked, order) if linked else cells.items()
+        reads = self.graph.compact.reads
+        work = _acyclic(cells, reads, values) if reads else cells.items()
         name = sheet = None
         for node, cell in work:
             if node.sheet != name:  # cells come sheet by sheet, mostly
@@ -421,9 +423,11 @@ class Engine:
         record stops and the range must be read directly.
 
         The record is extended in row order, reading each cell once, as far
-        as the tail asks; the schedule puts every formula cell in the range
-        first, as it does for a direct read. A result is the one a direct
-        read gives, and taints the same way.
+        as the tail asks. The total reads the chain node that stands for the
+        range's formula cells (:func:`sheetsentry.graph._prefix_node`), so
+        each of them is evaluated before it, or holds ``#CIRC!``, as for a
+        direct read. A result is the one a direct read gives, and taints
+        the same way.
         """
         slices = sheet.column_slices(col, head, col, tail)
         if not slices:
@@ -465,9 +469,10 @@ class Engine:
     def _build_lookup(self, sheet: Sheet, col: int, first_row: int, last_row: int) -> _LookupIndex:
         """Index one key column over one row span.
 
-        Valid for the rest of the run: every formula cell in the span
-        precedes any lookup over it in the schedule (or sits on a cycle and
-        already holds ``#CIRC!``), and evaluated values never change.
+        Valid for the rest of the run: a lookup reads every formula cell in
+        its span in the scheduling view, so each of them is evaluated before
+        any lookup over it, or holds ``#CIRC!``, and evaluated values never
+        change.
         """
         slices = sheet.column_slices(col, first_row, col, last_row)
         if not slices:

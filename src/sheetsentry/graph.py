@@ -5,7 +5,7 @@ held once, as its :class:`Template` and its hole values; the graph adds a
 plan per template and sheet (:func:`_resolve`) and the external-link
 inventory, nothing per cell. One function, :func:`_references`, reads
 each cell's references from its plan and its values. Two views are built
-from them, each on first use, and keep only their adjacency:
+from them, each on first use:
 
 - The cell-level view behind the queries (precedents, dependents, edges,
   DOT). Its nodes are formula cells plus every referenced cell, and its
@@ -25,9 +25,10 @@ from them, each on first use, and keep only their adjacency:
 Both views find the formula cells inside a range in one way, through the
 sheet's column index (:meth:`Sheet.column_slices`): a bisection per
 occupied column of the range, not a walk over its area or over every
-formula cell. One builder, :func:`_adjacency`, turns what each view's
-nodes read into unsorted adjacency lists; the queries sort what they
-return.
+formula cell. A view keeps what its nodes read as its builder returns it
+(:attr:`DepGraph.reads`). Only the queries make precedent and dependent
+lists of that (:func:`_adjacency`), so an audit builds none, and the
+queries sort what they return.
 
 Every reference is resolved by :meth:`Workbook.resolve`, as in the
 evaluator. References into other workbooks, cells and ranges alike, become
@@ -35,19 +36,20 @@ no edges but entries of the external-link inventory, because the target
 lives outside this file's audit boundary; they evaluate to ``#REF!``.
 References to missing sheets produce no edges either.
 
-:func:`schedule` is the one scheduler: a Kahn loop that orders every node
-but the cells on reference cycles and returns those cells beside that
-order.
-Both :func:`topo_order` and the recomputation engine use it; one iterative
-Tarjan (:func:`cyclic_components`) finds the cycles.
+:func:`components` is the one ordering and cycle routine: an iterative
+Tarjan pass (R. E. Tarjan, "Depth-first search and linear graph
+algorithms", SIAM J. Comput. 1972) over what each node reads, which yields
+each strongly connected component once it is complete, so after every
+component it reads. The recomputation engine evaluates the formula cells
+in the order it yields them over :attr:`DepGraph.compact`;
+:func:`topo_order` and :func:`cyclic_components` read it too.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import UnknownNodeError
 from .formula import Formulas, RangeRef, Ref, Template, parse_all_formulas, render_a1
@@ -103,23 +105,31 @@ class DepGraph:
 
     ``reads`` and ``compact_reads`` say, when called, what each node of the
     cell-level view and of :attr:`compact` reads. Each view calls its
-    function on first use and keeps only the adjacency :func:`_adjacency`
-    makes of the result; the queries sort what they return.
+    function on first use (:attr:`reads`); the queries make adjacency
+    lists of the result (:func:`_adjacency`) and sort what they return.
     """
 
     def __init__(
         self, reads: Reads, compact_reads: Reads, external_links: list[ExternalLink], wb: Workbook
     ) -> None:
-        self._reads = reads
-        self._compact_reads = compact_reads
+        self._build = reads
+        self._build_compact = compact_reads
         self.external_links = external_links
         self.wb = wb
         # rank of each stored sheet name; sort_key asks sheet_rank for other spellings
         self._ranks = {sheet.name: pos for pos, sheet in enumerate(wb.sheets)}
 
     @cached_property
+    def reads(self) -> dict[Node, list[Node]]:
+        """What the nodes of this view read, as its builder returns them: every
+        formula cell and aggregate of the cell-level view, and the nodes of
+        :attr:`compact` that read anything. The queries' :func:`_adjacency`
+        drops each list's repeats in place."""
+        return self._build()
+
+    @cached_property
     def _view(self) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
-        return _adjacency(self._reads())
+        return _adjacency(self.reads)
 
     @property
     def _preds(self) -> dict[Node, list[Node]]:
@@ -142,8 +152,8 @@ class DepGraph:
         cells on its cycles are those of the full view. Its own
         :attr:`compact` is the same view.
         """
-        reads = self._compact_reads
-        return DepGraph(reads, reads, self.external_links, self.wb)
+        build = self._build_compact
+        return DepGraph(build, build, self.external_links, self.wb)
 
     # -- ordering helpers
 
@@ -186,20 +196,6 @@ class DepGraph:
         for src in self.nodes:
             for dst in sorted(self._deps[src], key=self.sort_key):
                 yield (src, dst)
-
-    def transitive_dependents(self, node: Node) -> set[Node]:
-        """Every node reachable downstream of ``node`` (excluding itself)."""
-        seen: set[Node] = set()
-        stack = list(self._deps.get(node, ()))
-        if node not in self._deps:
-            raise UnknownNodeError(f"not a graph node: {node}")
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._deps[cur])
-        return seen
 
 
 def build_graph(wb: Workbook, asts: Formulas | None = None) -> DepGraph:
@@ -401,129 +397,81 @@ def _adjacency(
     return reads, deps
 
 
-def schedule(g: DepGraph) -> tuple[list[Node], set[CellAddress]]:
-    """Evaluation order of every node but the cells on a cycle, plus those cells.
+_DONE = 1 << 62  # above every visit number, so a finished node never lowers a low link
 
-    A Kahn loop that pops the ready node with the smallest ``g.sort_key``
-    (sheet order, row, column), so every edge between two ordered nodes
-    goes forward and ties break the same way on every run. When it stalls,
-    the remaining nodes sit on or downstream of cycles: the edges leaving
-    the cells on cycles are released once and the loop goes on, so nodes
-    downstream of a cycle come after everything else they depend on. A
-    :class:`RangeNode` holds no value but stands for the cells it reads, so
-    it is ordered even on a cycle, after all of them: a node that reads it
-    never comes before a cell it stands for.
+
+def components(
+    reads: dict[Node, list[Node]], roots: Iterable[Node]
+) -> Iterator[tuple[list[Node], bool]]:
+    """The strongly connected components reachable from ``roots`` in the
+    graph where each node reads ``reads.get(node, [])``, each with whether
+    it is a cycle (two or more nodes, or one that reads itself).
+
+    One iterative Tarjan pass, taking the roots in the order given and each
+    node's reads in list order. A component is yielded once it is complete,
+    so after every component it reads and before any that reads it.
     """
-    key = g.sort_key
-    deps = g._deps
-    indegree = {node: len(ps) for node, ps in g._preds.items()}
-    # the initial ready set is sorted once; only released nodes go on the heap
-    ready = sorted((key(n), n) for n, d in indegree.items() if d == 0)
-    next_ready = 0
-    heap: list[tuple[tuple, Node]] = []
-    order: list[Node] = []
-    in_cycle: set[Node] = set()
-
-    def release(node: Node) -> None:
-        for dst in deps[node]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0 and dst not in in_cycle:
-                heapq.heappush(heap, (key(dst), dst))
-
-    def drain() -> None:
-        nonlocal next_ready
-        while True:
-            if next_ready < len(ready) and not (heap and heap[0] < ready[next_ready]):
-                node = ready[next_ready][1]
-                next_ready += 1
-            elif heap:
-                node = heapq.heappop(heap)[1]
+    index: dict[Node, int] = {}  # visit number, _DONE once the node's component is out
+    stack: list[Node] = []
+    looped: set[Node] = set()
+    for root in roots:
+        if root in index:
+            continue
+        number = index[root] = len(index)
+        stack.append(root)
+        work = [[root, iter(reads.get(root, ())), number, number]]  # node, reads left, index, low
+        while work:
+            frame = work[-1]
+            node, it, number, low = frame
+            for nxt in it:
+                seen = index.get(nxt)
+                if seen is None:
+                    seen = index[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append([nxt, iter(reads.get(nxt, ())), seen, seen])
+                    break
+                if seen < low:
+                    low = frame[3] = seen
+                elif seen == number:
+                    looped.add(node)
             else:
-                return
-            order.append(node)
-            release(node)
-
-    drain()
-    if len(order) < len(indegree):
-        in_cycle = {node for node in cycle_nodes(g) if type(node) is not RangeNode}
-        for node in in_cycle:
-            release(node)
-        drain()
-    return order, in_cycle
+                work.pop()
+                if work and low < work[-1][3]:
+                    work[-1][3] = low
+                if low == number:
+                    at = len(stack) - 1
+                    while stack[at] is not node:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for member in comp:
+                        index[member] = _DONE
+                    yield comp, len(comp) > 1 or node in looped
 
 
 def topo_order(g: DepGraph) -> list[Node] | CycleReport:
     """Topological order of the graph, or a :class:`CycleReport`.
 
-    When acyclic, every edge goes forward in the returned order and ties
-    break by sheet order, then row, then column. When cyclic, the report
-    lists every strongly connected component with two or more nodes or a
-    self-loop.
+    When acyclic, every edge goes forward in the returned order: the nodes
+    are taken in sheet order, then row, then column, and the precedents of
+    each that are not yet ordered come just before it. When cyclic, the
+    report lists every strongly connected component with two or more nodes
+    or a self-loop.
     """
-    order, in_cycle = schedule(g)
-    return CycleReport(cyclic_components(g)) if in_cycle else order
+    order: list[Node] = []
+    for comp, cyclic in components(g._preds, g.nodes):
+        if cyclic:
+            return CycleReport(cyclic_components(g))
+        order += comp
+    return order
 
 
 def cyclic_components(g: DepGraph) -> list[list[Node]]:
     """Strongly connected components that form cycles, deterministically ordered."""
-    sccs = []
-    for comp in _tarjan(g):
-        if len(comp) > 1 or comp[0] in g._deps[comp[0]]:
-            sccs.append(sorted(comp, key=g.sort_key))
+    found = components(g._preds, g._preds)
+    sccs = [sorted(comp, key=g.sort_key) for comp, cyclic in found if cyclic]
     sccs.sort(key=lambda comp: g.sort_key(comp[0]))
     return sccs
-
-
-def _tarjan(g: DepGraph) -> Iterator[list[Node]]:
-    """Iterative Tarjan SCC over the dependency direction."""
-    index: dict[Node, int] = {}
-    lowlink: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    counter = 0
-
-    for root in g._deps:
-        if root in index:
-            continue
-        work: list[tuple[Node, Iterator[Node]]] = [(root, iter(g._deps[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(g._deps[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                yield comp
-
-
-def cycle_nodes(g: DepGraph) -> set[Node]:
-    """All nodes that participate in some cycle."""
-    return {node for comp in cyclic_components(g) for node in comp}
 
 
 def to_dot(g: DepGraph) -> str:

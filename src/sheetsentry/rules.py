@@ -62,9 +62,6 @@ class Finding:
     message: str
     evidence: tuple[tuple[str, Any], ...] = ()
 
-    def evidence_dict(self) -> dict[str, Any]:
-        return dict(self.evidence)
-
 
 @dataclass(frozen=True, slots=True)
 class RuleInfo:

@@ -23,7 +23,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import AddressParseError, FormatError, IoError, ValidationError
 
@@ -121,9 +121,6 @@ class CellValue:
 
     def is_blank(self) -> bool:
         return self.kind is ValueKind.BLANK
-
-    def is_error(self) -> bool:
-        return self.kind is ValueKind.ERROR
 
     def display(self) -> str:
         """Short human-readable rendering for messages and reports."""
@@ -343,13 +340,6 @@ class Workbook:
         if sheet is None:
             return None
         return sheet.cells.get((addr.col, addr.row))
-
-    def iter_cells(self) -> Iterator[tuple[CellAddress, Cell]]:
-        """All stored cells in sheet order, then reading order (row, then
-        column) within a sheet, sorted afresh on each call."""
-        for sheet in self.sheets:
-            for (col, row), cell in sorted(sheet.cells.items(), key=lambda kv: kv[0][::-1]):
-                yield CellAddress(sheet.name, col, row), cell
 
     def address_sort_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_rank(addr.sheet), addr.row, addr.col)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from sheetsentry.graph import cyclic_components
 from sheetsentry.workbook import (
     BLANK,
     Cell,
@@ -110,9 +111,37 @@ def make_workbook(
     )
 
 
+def stored_cells(wb: Workbook) -> list[tuple[CellAddress, Cell]]:
+    """Every stored cell of ``wb``: sheet by sheet, in reading order (row,
+    then column) within a sheet."""
+    return [
+        (CellAddress(sheet.name, col, row), cell)
+        for sheet in wb.sheets
+        for (col, row), cell in sorted(sheet.cells.items(), key=lambda kv: kv[0][::-1])
+    ]
+
+
+def downstream(g, node) -> set:
+    """Every node reachable from ``node`` over ``g.dependents``, not
+    ``node`` itself unless it sits on a cycle."""
+    seen: set = set()
+    stack = g.dependents(node)
+    while stack:
+        cur = stack.pop()
+        if cur not in seen:
+            seen.add(cur)
+            stack += g.dependents(cur)
+    return seen
+
+
+def cycle_nodes(g) -> set:
+    """Every node of ``g`` that sits on a cycle."""
+    return {node for comp in cyclic_components(g) for node in comp}
+
+
 def stored_formula_count(wb: Workbook) -> int:
     """Stored cells that hold a formula, counted straight from the sheets."""
-    return sum(cell.formula is not None for _, cell in wb.iter_cells())
+    return sum(cell.formula is not None for _, cell in stored_cells(wb))
 
 
 def scale_grid_doc(n_classes: int = 400, rows_per_class: int = 250) -> dict:
@@ -129,13 +158,6 @@ def scale_grid_doc(n_classes: int = 400, rows_per_class: int = 250) -> dict:
         "manifest": {"specification": "scale smoke model"},
         "sheets": [{"name": "S", "cells": cells}],
     }
-
-
-def reverse_sort_key(g) -> None:
-    """Shadow a graph's ``sort_key`` with its reverse, so that ``schedule(g)``
-    and an engine scheduling over ``g`` pop the largest ready node."""
-    forward = g.sort_key
-    g.sort_key = lambda node: tuple(-x for x in forward(node))
 
 
 def cyclic_garbage(fn) -> int:

@@ -101,7 +101,7 @@ class TreeEngine(Engine):
 
     def _eval_unary(self, node: Unary, sheet: str) -> CellValue:
         val = self._eval(node.operand, sheet)
-        if val.is_error():
+        if val.kind is ValueKind.ERROR:
             return val
         if node.op == "+":
             return val
@@ -112,10 +112,10 @@ class TreeEngine(Engine):
 
     def _eval_binary(self, node: Binary, sheet: str) -> CellValue:
         left = self._eval(node.left, sheet)
-        if left.is_error():
+        if left.kind is ValueKind.ERROR:
             return left
         right = self._eval(node.right, sheet)
-        if right.is_error():
+        if right.kind is ValueKind.ERROR:
             return right
         op = node.op
         if op == "&":
@@ -169,7 +169,7 @@ class TreeEngine(Engine):
         if len(args) not in (2, 3):
             return _VALUE_ERR
         cond = self._eval(args[0], sheet)
-        if cond.is_error():
+        if cond.kind is ValueKind.ERROR:
             return cond
         flag = _to_bool(cond)
         if flag is None:
@@ -196,7 +196,7 @@ class TreeEngine(Engine):
                         return val
             else:
                 val = self._eval(arg, sheet)
-                if val.is_error():
+                if val.kind is ValueKind.ERROR:
                     if count_only:
                         continue
                     return val
@@ -233,13 +233,13 @@ class TreeEngine(Engine):
                 if cells is None:
                     return _REF_ERR
                 for val in cells:
-                    if val.is_error():
+                    if val.kind is ValueKind.ERROR:
                         return val
                     if val.kind in (ValueKind.BOOLEAN, ValueKind.NUMBER):
                         flags.append(bool(val.value))
             else:
                 val = self._eval(arg, sheet)
-                if val.is_error():
+                if val.kind is ValueKind.ERROR:
                     return val
                 if val.is_blank():
                     continue
@@ -256,7 +256,7 @@ class TreeEngine(Engine):
         if len(args) != 1:
             return _VALUE_ERR
         val = self._eval(args[0], sheet)
-        if val.is_error():
+        if val.kind is ValueKind.ERROR:
             return val
         flag = _to_bool(val)
         if flag is None:
@@ -267,7 +267,7 @@ class TreeEngine(Engine):
         if len(args) != 1:
             return _VALUE_ERR
         val = self._eval(args[0], sheet)
-        if val.is_error():
+        if val.kind is ValueKind.ERROR:
             return val
         num = _to_number(val)
         if num is None:
@@ -278,10 +278,10 @@ class TreeEngine(Engine):
         if len(args) != 2:
             return _VALUE_ERR
         val = self._eval(args[0], sheet)
-        if val.is_error():
+        if val.kind is ValueKind.ERROR:
             return val
         digits_val = self._eval(args[1], sheet)
-        if digits_val.is_error():
+        if digits_val.kind is ValueKind.ERROR:
             return digits_val
         num = _to_number(val)
         digits = _to_number(digits_val)
@@ -296,13 +296,13 @@ class TreeEngine(Engine):
         if len(args) not in (3, 4):
             return _VALUE_ERR
         key = self._eval(args[0], sheet)
-        if key.is_error():
+        if key.kind is ValueKind.ERROR:
             return key
         if not isinstance(args[1], Range):
             return _VALUE_ERR
         rng = args[1].ref
         col_val = self._eval(args[2], sheet)
-        if col_val.is_error():
+        if col_val.kind is ValueKind.ERROR:
             return col_val
         col_num = _to_number(col_val)
         # a NaN or infinite index is only possible in a Workbook built in memory
@@ -313,7 +313,7 @@ class TreeEngine(Engine):
             return _REF_ERR
         if len(args) == 4:
             flag_val = self._eval(args[3], sheet)
-            if flag_val.is_error():
+            if flag_val.kind is ValueKind.ERROR:
                 return flag_val
             flag = _to_bool(flag_val)
             if flag is None or flag:

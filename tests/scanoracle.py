@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 
 from sheetsentry.evaluate import Engine, _compare
 from sheetsentry.formula import RangeRef
-from sheetsentry.workbook import CellValue, Sheet
+from sheetsentry.workbook import CellValue, Sheet, ValueKind
 
 _NA = CellValue.error("#N/A")
 
@@ -50,7 +50,7 @@ class ScanEngine(Engine):
             if col != first_col:
                 continue
             candidate = self._cell_value(sheet, col, row)
-            if candidate.is_error():
+            if candidate.kind is ValueKind.ERROR:
                 return candidate
             if candidate.is_blank():
                 continue

@@ -20,7 +20,7 @@ from sheetsentry.workbook import CellAddress, CellValue, col_to_letters, load_wo
 
 from astgen import random_ast
 from classoracle import normalize
-from conftest import addr, make_workbook, scale_grid_doc
+from conftest import addr, downstream, make_workbook, scale_grid_doc, stored_cells
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
 from test_normalize import bounded_ast, translate_ast
 
@@ -85,7 +85,7 @@ def test_criterion_2_unique_formula_properties():
         wb = make_workbook({"S": cells})
         asts = {
             address: parse_formula(cell.formula)
-            for address, cell in wb.iter_cells()
+            for address, cell in stored_cells(wb)
             if cell.formula
         }
         class_of = {}
@@ -199,7 +199,7 @@ def test_criterion_6_staleness_closure(fixtures_dir, tmp_path):
     graph = build_graph(mutated)
     closure = {
         node
-        for node in graph.transitive_dependents(addr("Sheet1", "A1"))
+        for node in downstream(graph, addr("Sheet1", "A1"))
         if isinstance(node, CellAddress)
     }
     assert closure == {addr("Sheet1", "B1"), addr("Sheet1", "C1"), addr("Sheet1", "D1")}

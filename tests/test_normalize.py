@@ -24,7 +24,7 @@ from sheetsentry.workbook import CellAddress
 
 from astgen import random_ast
 from classoracle import normalize
-from conftest import addr, make_workbook, stored_formula_count
+from conftest import addr, make_workbook, stored_cells, stored_formula_count
 
 
 def norm_text(src: str, origin: CellAddress) -> str:
@@ -273,7 +273,7 @@ class TestPairwiseOracle:
                 cells[f"{_letters(col)}{row}"] = f"=SUM(A1:A{row})"
         wb = make_workbook({"S": cells})
         asts = {}
-        for address, cell in wb.iter_cells():
+        for address, cell in stored_cells(wb):
             if cell.formula:
                 asts[address] = parse_formula(cell.formula)
 

@@ -227,8 +227,8 @@ class TestHardcodedConstantRule:
     def test_three_classes_trigger(self):
         findings = self._findings({"B1": "=A1+65", "B2": "=A2-65", "B3": "=A3*65"})
         assert len(findings) == 1
-        assert findings[0].evidence_dict()["constant"] == 65.0
-        assert findings[0].evidence_dict()["count"] == 3
+        assert dict(findings[0].evidence)["constant"] == 65.0
+        assert dict(findings[0].evidence)["count"] == 3
         assert len(findings[0].locations) == 3
 
     def test_below_threshold(self):
@@ -246,7 +246,7 @@ class TestHardcodedConstantRule:
     def test_negative_literal_via_unary(self):
         findings = self._findings({"B1": "=A1+-65", "B2": "=A2*-65", "B3": "=-65+A3"})
         assert len(findings) == 1
-        assert findings[0].evidence_dict()["constant"] == -65.0
+        assert dict(findings[0].evidence)["constant"] == -65.0
 
     def test_zero_is_unsigned_whatever_the_reading_order(self):
         cfg = RuleConfig(const_whitelist=frozenset())
@@ -255,7 +255,7 @@ class TestHardcodedConstantRule:
         for findings in (negative_first, positive_first):
             [finding] = findings
             assert finding.message.startswith("literal 0 appears in 3 distinct formulas")
-            assert math.copysign(1.0, finding.evidence_dict()["constant"]) == 1.0
+            assert math.copysign(1.0, dict(finding.evidence)["constant"]) == 1.0
         assert negative_first == positive_first
 
 
@@ -267,7 +267,7 @@ class TestDeepNestingRule:
         report = audit_workbook(wb)
         deep = [f for f in report.findings if f.rule_id == "DEEP_NESTING"]
         assert len(deep) == 1
-        assert deep[0].evidence_dict()["branches"] == 7
+        assert dict(deep[0].evidence)["branches"] == 7
 
     def test_five_branch_formula_copied_is_one_finding(self):
         nest = "=IF(A{r},1,IF(B{r},1,IF(C{r},1,IF(D{r},1,1))))"
@@ -277,7 +277,7 @@ class TestDeepNestingRule:
         deep = [f for f in report.findings if f.rule_id == "DEEP_NESTING"]
         assert len(deep) == 1
         assert deep[0].locations == (addr("S", "E1"),)
-        assert deep[0].evidence_dict()["branches"] == 5
+        assert dict(deep[0].evidence)["branches"] == 5
 
     def test_two_branches_fine(self):
         wb = make_workbook({"S": {"B1": ("=IF(A1,1,2)", 2)}})
@@ -354,7 +354,7 @@ class TestCopyClassHoleRule:
         cells["B5"] = 42
         findings = self._holes(cells)
         assert [f.locations for f in findings] == [(addr("S", "B5"),)]
-        assert findings[0].evidence_dict()["normalized_formula"] == "RC[-1]*100"
+        assert dict(findings[0].evidence)["normalized_formula"] == "RC[-1]*100"
 
     def test_below_member_threshold(self):
         cells = {f"B{r}": f"=A{r}*100" for r in (1, 2, 3, 4)}
@@ -506,8 +506,8 @@ class TestLookupHotspotRule:
         report = audit_fixture(fixtures_dir, "lookup_hotspot.json")
         (finding,) = report.findings
         assert finding.rule_id == "LOOKUP_HOTSPOT"
-        assert finding.evidence_dict()["cost"] == 1501
-        assert finding.evidence_dict()["lookup_count"] == 1
+        assert dict(finding.evidence)["cost"] == 1501
+        assert dict(finding.evidence)["lookup_count"] == 1
 
     def test_small_lookup_quiet(self):
         wb = make_workbook({"S": {"B1": "=VLOOKUP(F1,D1:E50,2)"}})

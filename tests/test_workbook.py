@@ -34,7 +34,7 @@ from sheetsentry.workbook import (
 from sheetsentry.formula import Reference, render_a1
 from sheetsentry.metrics import compute_metrics
 
-from conftest import make_workbook, stored_formula_count, write_wbjson
+from conftest import make_workbook, stored_cells, stored_formula_count, write_wbjson
 
 
 def _cell(cell, key="A1") -> dict:
@@ -223,7 +223,7 @@ class TestLoadWorkbook:
         )
         wb = load_workbook(path)
         assert len(wb.sheets) == 1
-        assert len(list(wb.iter_cells())) == 1
+        assert len(stored_cells(wb)) == 1
         cell = wb.sheets[0].cell(1, 1)
         assert cell.formula is None
         assert cell.cached == CellValue.number(5)
@@ -285,7 +285,7 @@ class TestLoadWorkbook:
             tmp_path, {"sheets": [{"name": "S", "cells": {"A1": {}}}]}
         )
         wb = load_workbook(path)
-        assert list(wb.iter_cells()) == []
+        assert stored_cells(wb) == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -404,7 +404,7 @@ class TestCounts:
     def test_formula_and_value_cells(self):
         wb = make_workbook({"S": {"A1": ("=1+1", 2), "A2": 5}})
         assert compute_metrics(wb).formula_cells == 1
-        assert len(list(wb.iter_cells())) == 2
+        assert len(stored_cells(wb)) == 2
 
     def test_empty_workbook(self):
         wb = make_workbook({"S": {}})
@@ -414,7 +414,7 @@ class TestCounts:
         wb = make_workbook(
             {"S": {"A1": 1, "A2": ("=A1", 1), "A3": "text", "B9": ("=A2*2", 2)}}
         )
-        stored = list(wb.iter_cells())
+        stored = stored_cells(wb)
         assert len(stored) == 4
         assert compute_metrics(wb).formula_cells == stored_formula_count(wb) == 2
 
