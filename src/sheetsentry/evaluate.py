@@ -33,13 +33,12 @@ range read therefore costs what it returns, not the area it covers: it
 visits only the columns inside it and bisects each one's sorted rows.
 ``SUM``, ``AVERAGE``, ``COUNT``, ``MIN`` and ``MAX`` of a running total
 (one column, absolute top row: :func:`sheetsentry.graph.running_total`)
-read a prefix record kept per sheet, column and head, which reads each
-cell of the column once however many totals cover it; its sums are
-Shewchuk's exact partials, so each equals the ``math.fsum`` of the range.
-An exact-match ``VLOOKUP`` is answered from a hash index
-of its key column over the range's rows, built on first use and shared by
-every lookup over the same span; it gives the same answer, error and taint
-as a scan of the key column in row order. (The cost model in
+and an exact-match ``VLOOKUP`` both read one column record kept per sheet,
+column and head, read in row order as far as the longest range asking
+reaches, so each cell of the column is read once however many ranges from
+that head cover it. Its sums are Shewchuk's exact partials, so each equals
+the ``math.fsum`` of the range, and a lookup gets the same answer, error
+and taint as a scan of the key column in row order. (The cost model in
 :mod:`sheetsentry.metrics` still charges a lookup a linear scan, because it
 models spreadsheet recalculation, not this engine.)
 """
@@ -125,86 +124,78 @@ class StalenessReport:
 
 
 @dataclass(slots=True)
-class _LookupIndex:
-    """Exact-match answers for one key column over one row span.
+class _ColumnRecord:
+    """What one column's stored cells hold from position ``lo`` down, read
+    in row order as far as a range from that head has asked: the cells
+    ``lo .. end - 1`` (positions index the column's stored cells).
 
-    Positions index the column's stored cells. ``first`` maps each value
-    before ``stop`` -- by kind, text casefolded, NaN left out -- to its first
-    position. ``stop`` is where a scan without a match ends: the first
-    error, which is then ``error``, or the end of the span.
-    ``tainted_from`` is the first position holding a tainted formula cell.
-    """
+    Every fact here is about a prefix, so the record answers a running
+    total or an exact-match lookup over any tail it has read, and a query
+    ignores what lies at or past its own tail, which a longer range may
+    have read. ``error`` is the first error with its position, and
+    ``tainted_from`` the first position holding a tainted formula cell.
+    Before the first error, ``first`` maps each value -- by kind, text
+    casefolded, NaN left out -- to its first position, and ``first_number``
+    and ``first_nan`` are the first number and the first NaN.
 
-    rows: list[int]
-    stop: int
-    error: CellValue | None = None
-    first: dict[tuple[ValueKind, object], int] = field(default_factory=dict)
-    first_number: int | None = None
-    first_nan: int | None = None
-    tainted_from: int | None = None
-
-    def match(self, key: CellValue) -> int | None:
-        """First position whose value equals ``key`` under ``=``, if any."""
-        first = self.first
-        kind = key.kind
-        if kind is ValueKind.BLANK:
-            # a blank key reads as 0, "" or FALSE, as the candidate's kind asks
-            hits = (
-                first.get((ValueKind.NUMBER, 0.0)),
-                first.get((ValueKind.TEXT, "")),
-                first.get((ValueKind.BOOLEAN, False)),
-                self.first_nan,
-            )
-        elif kind is ValueKind.NUMBER:
-            # NaN orders as equal to every number
-            if math.isnan(key.value):
-                hits = (self.first_number,)
-            else:
-                hits = (first.get((kind, key.value)), self.first_nan)
-        elif kind is ValueKind.TEXT:
-            hits = (first.get((kind, key.value.casefold())),)
-        else:
-            hits = (first.get((kind, key.value)),)
-        return min((pos for pos in hits if pos is not None), default=None)
-
-
-@dataclass(slots=True)
-class _Prefix:
-    """Running aggregates of one column's stored cells from position ``lo``
-    down, as far as evaluation has asked (positions index the column's
-    stored cells).
-
-    ``runs[k]`` describes the cells ``lo .. lo + k``: the ``fsum`` of their
-    numbers, how many numbers there are, and the least and greatest of
-    them, the first kept among equals as ``min`` and ``max`` keep it.
-    ``partials`` are Shewchuk's exact partial sums of the numbers so far,
-    the algorithm of ``math.fsum``, so each sum is the ``fsum`` of the
-    numbers down to it, bit for bit. ``stop`` is the first position a run
-    cannot describe: the end of the column, or a number that made a partial
-    NaN or infinite (a NaN or infinite input, or an overflow), from which on
-    the range is read directly. ``error`` is the first error with its
-    position, and ``tainted_from`` the first position holding a tainted
-    formula cell.
+    ``runs`` is kept once a running total asks, ``None`` before: ``runs[k]``
+    describes the cells ``lo .. lo + k``: the ``fsum`` of their numbers,
+    how many numbers there are, and the least and greatest of them, the
+    first kept among equals as ``min`` and ``max`` keep it. ``partials``
+    are Shewchuk's exact partial sums of the numbers so far, the algorithm
+    of ``math.fsum``, so each sum is the ``fsum`` of the numbers down to
+    it, bit for bit. ``stop`` is the first position a run cannot describe:
+    a number that made a partial NaN or infinite (a NaN or infinite input,
+    or an overflow), from which on the range is read directly.
     """
 
     lo: int
-    stop: int
-    runs: list[tuple[float, int, float, float]] = field(default_factory=list)
-    partials: list[float] = field(default_factory=list)
+    end: int
     error: tuple[int, CellValue] | None = None
     tainted_from: int | None = None
+    first: dict[tuple[ValueKind, object], int] = field(default_factory=dict)
+    first_number: int | None = None
+    first_nan: int | None = None
+    runs: list[tuple[float, int, float, float]] | None = None
+    partials: list[float] | None = None
+    stop: int | None = None
 
-    def extend(self, values: list[CellValue], tainted_from: int | None) -> None:
-        """Describe the next ``len(values)`` positions, whose values these
-        are; ``tainted_from`` is the first of them holding a tainted formula
-        cell, if any."""
-        if self.tainted_from is None:
-            self.tainted_from = tainted_from
+    def extend(self, values: list[CellValue]) -> None:
+        """Note the next ``len(values)`` cells, whose values these are."""
+        start = self.end
+        self.end += len(values)
+        if self.runs is not None:
+            self.sum(values)
+        if self.error is not None:
+            return  # a scan never reads past the first error
+        first = self.first
+        for pos, val in enumerate(values, start):
+            kind = val.kind
+            if kind is _NUMBER:
+                if self.first_number is None:
+                    self.first_number = pos
+                if math.isnan(val.value):
+                    if self.first_nan is None:
+                        self.first_nan = pos
+                else:
+                    first.setdefault((kind, val.value), pos)
+            elif kind is ValueKind.TEXT:
+                first.setdefault((kind, val.value.casefold()), pos)
+            elif kind is ValueKind.BOOLEAN:
+                first.setdefault((kind, val.value), pos)
+            elif kind is _ERROR:
+                self.error = (pos, val)
+                return
+
+    def sum(self, values: list[CellValue]) -> None:
+        """Describe in ``runs`` the next ``len(values)`` positions after
+        the last run, whose values these are."""
+        if self.stop is not None:
+            return
         runs, partials = self.runs, self.partials
         total, count, least, most = runs[-1] if runs else (0.0, 0, math.inf, -math.inf)
         for pos, val in enumerate(values, start=self.lo + len(runs)):
-            kind = val.kind
-            if kind is ValueKind.NUMBER:
+            if val.kind is _NUMBER:
                 x = num = val.value
                 i = 0
                 for y in partials:  # math.fsum's loop, partials kept in place
@@ -231,8 +222,6 @@ class _Prefix:
                     least = num
                 if num > most:
                     most = num
-            elif kind is _ERROR and self.error is None:
-                self.error = (pos, val)
             runs.append((total, count, least, most))
 
     def value(self, name: str, hi: int) -> CellValue:
@@ -250,6 +239,31 @@ class _Prefix:
         if not count:
             return CellValue.number(0.0)
         return _finite(least if name == "MIN" else most)
+
+    def match(self, key: CellValue) -> int | None:
+        """First position read whose value equals ``key`` under ``=``, if
+        any, before the first error."""
+        first = self.first
+        kind = key.kind
+        if kind is ValueKind.BLANK:
+            # a blank key reads as 0, "" or FALSE, as the candidate's kind asks
+            hits = (
+                first.get((ValueKind.NUMBER, 0.0)),
+                first.get((ValueKind.TEXT, "")),
+                first.get((ValueKind.BOOLEAN, False)),
+                self.first_nan,
+            )
+        elif kind is ValueKind.NUMBER:
+            # NaN orders as equal to every number
+            if math.isnan(key.value):
+                hits = (self.first_number,)
+            else:
+                hits = (first.get((kind, key.value)), self.first_nan)
+        elif kind is ValueKind.TEXT:
+            hits = (first.get((kind, key.value.casefold())),)
+        else:
+            hits = (first.get((kind, key.value)),)
+        return min((pos for pos in hits if pos is not None), default=None)
 
 
 def _acyclic(cells: dict[CellAddress, tuple], reads: dict, values: dict) -> Iterator[tuple]:
@@ -282,8 +296,8 @@ class Engine:
         self.graph = graph if graph is not None else build_graph(wb, self.asts)
         self.values: dict[CellAddress, CellValue] = {}
         self.tainted: set[CellAddress] = set()
-        self._lookups: dict[tuple[str, int, int, int], _LookupIndex] = {}
-        self._prefixes: dict[tuple[str, int, int], _Prefix] = {}
+        # one record per sheet, column and head position, read on first use
+        self._records: dict[tuple[str, int, int], _ColumnRecord] = {}
         # one evaluator per template, compiled on first use
         self._compiled: dict[Template, Evaluator] = {}
         self._current_tainted = False
@@ -383,20 +397,6 @@ class Engine:
             out.append(got)
         return out
 
-    def _read_apart(self, column: Column, lo: int, hi: int) -> tuple[list[CellValue], int | None]:
-        """:meth:`_read` for a record kept across cells, which leaves the
-        current cell untainted: the values, and the position of the first
-        tainted formula cell among them, if any."""
-        outer, self._current_tainted = self._current_tainted, False
-        values = self._read(column, lo, hi)
-        tainted_from = None
-        if self._current_tainted:
-            read = column.formulas[column.before[lo]:column.before[hi]]
-            first = next(a for a in read if a in self.tainted)
-            tainted_from = bisect_left(column.rows, first.row)
-        self._current_tainted = outer
-        return values, tainted_from
-
     def _iter_range_cells(self, rng: RangeRef, origin_sheet: str) -> list[CellValue] | None:
         """Values of the stored cells inside a range, in (row, col) order.
 
@@ -417,89 +417,86 @@ class Engine:
         merged.sort(key=itemgetter(0))
         return [val for _, val in merged]
 
-    def _prefix_aggregate(self, name: str, sheet: Sheet, col: int, head: int, tail: int) -> CellValue | None:
-        """``name`` over rows ``head .. tail`` of column ``col`` of ``sheet``,
-        from the column's prefix record from ``head``; ``None`` where the
-        record stops and the range must be read directly.
+    def _record(
+        self, sheet: Sheet, col: int, head: int, tail: int, sums: bool = False
+    ) -> tuple[_ColumnRecord, list[int], int] | None:
+        """The record of column ``col`` of ``sheet`` from row ``head``, read
+        down to row ``tail`` or further, with the column's rows and the
+        position past the tail; ``None`` where no cell is stored there.
+        ``sums`` asks for the record's runs.
 
-        The record is extended in row order, reading each cell once, as far
-        as the tail asks. The total reads the chain node that stands for the
-        range's formula cells (:func:`sheetsentry.graph._prefix_node`), so
-        each of them is evaluated before it, or holds ``#CIRC!``, as for a
-        direct read. A result is the one a direct read gives, and taints
-        the same way.
+        A record is kept for the rest of the run, and is read further only
+        within the range asking for it. The scheduling view links a lookup
+        to every formula cell in its span, and a running total to the chain
+        node that stands for its range's formula cells
+        (:func:`sheetsentry.graph._prefix_node`), so each cell a record
+        reads is evaluated before it, or holds ``#CIRC!``, and evaluated
+        values never change. Reading taints no cell: each query taints its
+        own cell from ``tainted_from``.
         """
         slices = sheet.column_slices(col, head, col, tail)
         if not slices:
-            return _aggregate(name, [])
-        [(column, lo, hi)] = slices
-        prefix = self._prefixes.get((sheet.name, col, lo))
-        if prefix is None:
-            prefix = self._prefixes[sheet.name, col, lo] = _Prefix(lo, len(column.cells))
-        start = lo + len(prefix.runs)
-        if start < hi <= prefix.stop:
-            prefix.extend(*self._read_apart(column, start, hi))
-        if hi > prefix.stop:
             return None
-        if prefix.tainted_from is not None and prefix.tainted_from < hi:
+        [(column, lo, hi)] = slices
+        record = self._records.get((sheet.name, col, lo))
+        if record is None:
+            record = self._records[sheet.name, col, lo] = _ColumnRecord(lo, lo)
+        outer = self._current_tainted
+        if sums and record.runs is None:
+            # the cells lookups have read already are read again for the runs
+            record.runs, record.partials = [], []
+            record.sum(self._read(column, lo, record.end))
+        if record.end < hi:
+            self._current_tainted = False
+            values = self._read(column, record.end, hi)
+            if self._current_tainted and record.tainted_from is None:
+                read = column.formulas[column.before[record.end]:column.before[hi]]
+                first = next(a for a in read if a in self.tainted)
+                record.tainted_from = bisect_left(column.rows, first.row)
+            record.extend(values)
+        self._current_tainted = outer
+        return record, column.rows, hi
+
+    def _prefix_aggregate(self, name: str, sheet: Sheet, col: int, head: int, tail: int) -> CellValue | None:
+        """``name`` over rows ``head .. tail`` of column ``col`` of ``sheet``,
+        from the column's record from ``head``; ``None`` where its runs stop
+        and the range must be read directly. A result is the one a direct
+        read gives, and taints the same way.
+        """
+        got = self._record(sheet, col, head, tail, sums=True)
+        if got is None:
+            return _aggregate(name, [])
+        record, _, hi = got
+        if record.stop is not None and hi > record.stop:
+            return None
+        if record.tainted_from is not None and record.tainted_from < hi:
             self._current_tainted = True
-        return prefix.value(name, hi)
+        return record.value(name, hi)
 
     # -- lookups
 
     def _lookup_exact(self, key: CellValue, sheet: Sheet, rng: RangeRef, offset: int) -> CellValue:
-        """Exact-match ``VLOOKUP`` from the range's lookup index.
+        """Exact-match ``VLOOKUP`` from the record of the range's key column
+        from its head row.
 
         Answers as a scan of the key column in row order would: the first
         error stops it, blanks are skipped, the first equal value selects
         the row, and the scan taints the result if it reads a tainted cell.
         """
-        span = (sheet.name, rng.start.col, rng.start.row, rng.end.row)
-        index = self._lookups.get(span)
-        if index is None:
-            index = self._lookups[span] = self._build_lookup(sheet, *span[1:])
-        pos = index.match(key)
-        stop = index.stop if pos is None else pos
-        if index.tainted_from is not None and index.tainted_from <= stop:
+        got = self._record(sheet, rng.start.col, rng.start.row, rng.end.row)
+        if got is None:
+            return _NA
+        record, rows, hi = got
+        pos, result = record.match(key), None
+        if pos is None or pos >= hi:
+            # no match: the scan ends at the first error, or at the tail
+            error = record.error
+            pos, result = error if error is not None and error[0] < hi else (hi - 1, _NA)
+        if record.tainted_from is not None and record.tainted_from <= pos:
             self._current_tainted = True
-        if pos is None:
-            return index.error or _NA
-        return self._cell_value(sheet, rng.start.col + offset, index.rows[pos])
-
-    def _build_lookup(self, sheet: Sheet, col: int, first_row: int, last_row: int) -> _LookupIndex:
-        """Index one key column over one row span.
-
-        Valid for the rest of the run: a lookup reads every formula cell in
-        its span in the scheduling view, so each of them is evaluated before
-        any lookup over it, or holds ``#CIRC!``, and evaluated values never
-        change.
-        """
-        slices = sheet.column_slices(col, first_row, col, last_row)
-        if not slices:
-            return _LookupIndex([], stop=0)
-        [(column, lo, hi)] = slices
-        values, tainted_from = self._read_apart(column, lo, hi)
-        index = _LookupIndex(column.rows, stop=hi, tainted_from=tainted_from)
-        first = index.first
-        for pos, val in enumerate(values, start=lo):
-            kind = val.kind
-            if kind is ValueKind.NUMBER:
-                if index.first_number is None:
-                    index.first_number = pos
-                if math.isnan(val.value):
-                    if index.first_nan is None:
-                        index.first_nan = pos
-                else:
-                    first.setdefault((kind, val.value), pos)
-            elif kind is ValueKind.TEXT:
-                first.setdefault((kind, val.value.casefold()), pos)
-            elif kind is ValueKind.BOOLEAN:
-                first.setdefault((kind, val.value), pos)
-            elif kind is ValueKind.ERROR:
-                # a scan never reads past the first error
-                index.stop, index.error = pos, val
-                break
-        return index
+        if result is None:
+            return self._cell_value(sheet, rng.start.col + offset, rows[pos])
+        return result
 
 
 def _blank_as(kind: ValueKind) -> CellValue:
@@ -816,7 +813,7 @@ def _compile_aggregate(node: Call, template: Template) -> Evaluator:
 
 def _compile_running(name: str, node: Range, template: Template) -> Callable:
     """What aggregate ``name`` of the sole range ``node`` gives in a cell
-    where that range is a :func:`running_total`, from the engine's prefix
+    where that range is a :func:`running_total`, from the engine's column
     record; ``None`` elsewhere, or where the range must be read directly."""
     at, flags = template.slots[id(node)]
     qual = node.ref.start

@@ -253,7 +253,7 @@ def running_total(flags: tuple[bool, ...], cell: tuple, at: int) -> bool:
     column: it spans one column, and its top row, once the corners are
     ordered, is absolute (``$B$2:B9``, ``B9:B$2``). Copies of such a range
     share their head, which the scheduling view's prefix chains and the
-    engine's prefix records are kept by."""
+    engine's column records are kept by."""
     if cell[at] != cell[at + 2]:
         return False
     return flags[1] if cell[at + 1] <= cell[at + 3] else flags[3]

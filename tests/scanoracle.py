@@ -2,10 +2,10 @@
 
 :class:`ScanEngine` reads a range by filtering a sorted list of every
 stored cell on the sheet, and answers ``VLOOKUP`` by scanning the key
-column in row order. It keeps no prefix records either, so a running total
+column in row order. It keeps no column records either, so a running total
 is read in full like any other range. The engine itself reads ranges
-column by column, answers running totals from per-column prefix records
-and lookups from a per-span hash index; tests compare the two.
+column by column, and answers running totals and lookups from one record
+per sheet, column and head row; tests compare the two.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Column-wise range reads and the exact-match lookup index against scan oracles."""
+"""Column-wise range reads and the column records of running totals and
+exact-match lookups against scan oracles."""
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,8 +110,8 @@ def test_fast_paths_match_the_scan_oracle(wb):
     assert outcome(Engine, wb) == outcome(ScanEngine, wb)
 
 
-# One table holding every case the lookup index must reproduce. Keys sit in
-# column A, results in column B.
+# One table holding every case an exact-match lookup must reproduce. Keys
+# sit in column A, results in column B.
 TABLE = {
     "A1": BLANK, "B1": "blank skipped",
     "A2": "Apple", "B2": "first Apple",
@@ -164,15 +166,21 @@ def test_lookup_table_cases():
     assert outcome(Engine, wb) == outcome(ScanEngine, wb)
 
 
-def test_each_key_column_cell_is_read_once_per_engine(monkeypatch):
-    """2,000 lookups over one 5,000-row table read the key column once."""
-    rows, lookups = 5000, 2000
+@pytest.mark.parametrize("span", ["fixed", "growing"])
+def test_each_key_column_cell_is_read_once_per_engine(monkeypatch, span):
+    """2,000 lookups, all over one 5,000-row table or each over a 2,000-row
+    table down to its own row, read the key column once, into one record."""
+    rows, lookups = (5000, 2000) if span == "fixed" else (2000, 2000)
     cells = {}
     for r in range(1, rows + 1):
-        cells[f"A{r}"] = float((r * 7919) % rows)
+        cells[f"A{r}"] = float((r * 7919) % rows)  # distinct: 7919 is coprime to rows
         cells[f"B{r}"] = float(r)
+    # lookup r asks for the key of row target[r], which lies inside its span
+    target = {}
     for r in range(1, lookups + 1):
-        cells[f"D{r}"] = f"=VLOOKUP({(r * 13) % rows},$A$1:$B${rows},2,FALSE)"
+        last = rows if span == "fixed" else r
+        target[r] = (r * 13) % last + 1
+        cells[f"D{r}"] = f"=VLOOKUP({(target[r] * 7919) % rows},$A$1:$B${last},2,FALSE)"
     wb = make_workbook({"S": cells})
 
     reads = []
@@ -186,10 +194,78 @@ def test_each_key_column_cell_is_read_once_per_engine(monkeypatch):
     engine = Engine(wb)
     engine.run()
     assert sum(reads) == rows
+    # one (sheet, key column, head row) triple
+    assert len(engine._records) <= 1
     for r in (1, 777, lookups):
-        key = (r * 13) % rows
-        row = next(q for q in range(1, rows + 1) if (q * 7919) % rows == key)
-        assert engine.values[addr("S", f"D{r}")] == CellValue.number(row)
+        assert engine.values[addr("S", f"D{r}")] == CellValue.number(target[r])
+
+
+def test_a_shorter_span_ignores_what_a_longer_one_read():
+    """The longer lookup reads the tainted A4 into the shared record first;
+    the shorter one, whose scan ends at A3, finds nothing and is untainted."""
+    wb = make_workbook({"S": {
+        "A1": 1, "A2": 2, "A3": 3, "A4": "=[X]S!A1",
+        "B1": "=VLOOKUP(9,A1:A4,1,FALSE)",
+        "B2": "=VLOOKUP(9,A1:A3,1,FALSE)",
+    }})
+    engine = Engine(wb)
+    engine.run()
+    assert engine.values[addr("S", "B1")] == CellValue.error("#REF!")
+    assert engine.values[addr("S", "B2")] == CellValue.error("#N/A")
+    assert {a.a1() for a in engine.tainted} == {"A4", "B1"}
+    assert len(engine._records) == 1
+
+
+# Lookups and running totals that share a head row in column A but end at
+# different tails, evaluated longest tail first, shortest first, or as
+# drawn. An error, a NaN or a tainted formula cell sits at an edge row, and
+# the tails cluster round it, so it falls inside some spans and just past
+# others.
+EDGE_CELLS = [
+    Cell(cached=CellValue.error("#DIV/0!")), Cell(cached=NAN),
+    Cell(formula="=[X]S!A1", cached=CellValue.number(2.0)),
+    Cell(formula="=COUNT([X]S!A1)+1", cached=CellValue.number(2.0)),
+]
+SHARED_ROWS = 8
+
+
+@st.composite
+def shared_heads(draw) -> Workbook:
+    """Column A: data; B: lookup keys; C: lookups and running totals over
+    column A from one head row."""
+    cells: dict[tuple[int, int], Cell] = {}
+    for row in range(1, SHARED_ROWS + 1):
+        got = draw(TABLE_CELL)
+        if got is not None:
+            cells[1, row] = got
+    head = draw(st.integers(1, 2))
+    edge = draw(st.integers(head + 1, SHARED_ROWS))
+    cells[1, edge] = draw(st.sampled_from(EDGE_CELLS))
+    tail = st.one_of(st.sampled_from([edge - 1, edge, edge + 1]), st.integers(head, SHARED_ROWS + 1))
+    readers = draw(st.lists(st.tuples(st.booleans(), tail, AGGREGATE), min_size=2, max_size=8))
+    order = draw(st.sampled_from(["longest first", "shortest first", "as drawn"]))
+    if order != "as drawn":
+        readers.sort(key=itemgetter(1), reverse=order == "longest first")
+    for row, (lookup, last, name) in enumerate(readers, start=1):
+        span = f"$A${head}:A{last}"
+        if lookup:
+            key = draw(KEY_CELL)
+            if key is not None:
+                cells[2, row] = Cell(cached=key)
+            formula = f"=VLOOKUP(B{row},{span},1,FALSE)"
+        else:
+            formula = f"={name}({span})"
+        cells[3, row] = Cell(formula=formula, cached=draw(CACHED))
+    return Workbook(sheets=[Sheet("S", cells)])
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shared_heads())
+def test_shared_heads_match_the_scan_oracle(wb):
+    assert outcome(Engine, wb) == outcome(ScanEngine, wb)
+    engine = Engine(wb)
+    engine.run()
+    assert len(engine._records) <= 1  # one head row
 
 
 def test_reading_an_unevaluated_formula_raises():
@@ -209,7 +285,7 @@ def test_reading_an_unevaluated_formula_raises():
 
 
 # Running totals: a fixed head row over one column, read from the engine's
-# prefix records, against ScanEngine, which reads every range in full. BIG
+# column records, against ScanEngine, which reads every range in full. BIG
 # holds numbers whose sums cancel or overflow, drawn as often as any input.
 BIG = [0.0, -0.0, 0.1, 1.0, 1e16, -1e16, 3.3e200, -3.3e200, 1e308, -1e308]
 PREFIX_FORMULAS = FORMULAS + ["=1E308", "=-1E308", "=3.3E200", "=-0", "=SUM($A$1:A9)"]

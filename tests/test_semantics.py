@@ -8,16 +8,93 @@ numeric-text rows are pinned in ``test_evaluate.py``
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 
-from sheetsentry.evaluate import recompute_workbook
-from sheetsentry.workbook import CellValue
+from sheetsentry.evaluate import Engine, recompute_workbook
+from sheetsentry.workbook import BLANK, CellValue
 
 from conftest import addr, make_workbook
 
 CIRC = CellValue.error("#CIRC!")
+NA = CellValue.error("#N/A")
+DIV0 = CellValue.error("#DIV/0!")
+NAN = CellValue.number(math.nan)
+ONE, TWO = CellValue.text("one"), CellValue.text("two")
+
+
+def documented_rows(section: str) -> list[str]:
+    """The table rows of the section of ``docs/semantics.md`` headed ``section``."""
+    text = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text(encoding="utf-8")
+    start = text.index(f"## {section}\n")
+    end = text.find("\n## ", start)
+    table = text[start:] if end < 0 else text[start:end]
+    return [line for line in table.splitlines() if line.startswith(("| `", "| the same"))]
+
+
+# Exact-match lookups: per row, the cells, and per cell of interest its
+# value and whether it is tainted. The keys sit in column A, the results
+# in column B; a "the same" row repeats the row above's cells.
+ERROR_TABLE = {"A1": 1, "A2": DIV0, "A3": 3, "B1": "one", "B3": "three",
+               "C1": "=VLOOKUP(3,A1:B3,2,FALSE)"}
+TAINT_TABLE = {"A1": 1, "A2": "=[X]S!A1", "B1": "one", "C1": "=VLOOKUP(9,A1:B2,2,FALSE)"}
+THREE_ROWS = {"B1": "one", "B2": "two", "B3": "three"}
+LOOKUP_ROWS = {
+    "blank_key": (
+        {"A1": "x", "A2": False, "A3": 0, **THREE_ROWS, "C1": "=VLOOKUP(Z1,A1:B3,2,FALSE)"},
+        {"C1": (TWO, False)},
+    ),
+    "casefolded_text": (
+        {"A1": "Apple", "B1": "one", "C1": '=VLOOKUP("APPLE",A1:B1,2,FALSE)'}, {"C1": (ONE, False)},
+    ),
+    "true_is_not_one": (
+        {"A1": 1, "A2": True, "B1": "one", "B2": "two", "C1": "=VLOOKUP(TRUE,A1:B2,2,FALSE)"},
+        {"C1": (TWO, False)},
+    ),
+    "nan_key": (
+        {"A1": "x", "A2": 5, "A3": 7, **THREE_ROWS, "Z1": NAN, "C1": "=VLOOKUP(Z1,A1:B3,2,FALSE)"},
+        {"C1": (TWO, False)},
+    ),
+    "nan_cell": (
+        {"A1": "x", "A2": NAN, "A3": 7, **THREE_ROWS, "C1": "=VLOOKUP(7,A1:B3,2,FALSE)"},
+        {"C1": (TWO, False)},
+    ),
+    "blank_skipped": (
+        {"A1": BLANK, "A2": 0, "B1": "one", "B2": "two", "C1": "=VLOOKUP(0,A1:B2,2,FALSE)"},
+        {"C1": (TWO, False)},
+    ),
+    "first_of_equals": (
+        {"A1": 2, "A2": 2, "B1": "one", "B2": "two", "C1": "=VLOOKUP(2,A1:B2,2,FALSE)"},
+        {"C1": (ONE, False)},
+    ),
+    "error_stops_scan": (ERROR_TABLE, {"C1": (DIV0, False)}),
+    "error_past_tail": (
+        {**ERROR_TABLE, "C2": "=VLOOKUP(9,A1:B1,2,FALSE)"}, {"C2": (NA, False)},
+    ),
+    "tainted_cell_read": (TAINT_TABLE, {"C1": (CellValue.error("#REF!"), True)}),
+    "match_above_tainted_cell": (
+        {**TAINT_TABLE, "C2": "=VLOOKUP(1,A1:B2,2,FALSE)"}, {"C2": (ONE, False)},
+    ),
+    "tainted_cell_past_tail": (
+        {**TAINT_TABLE, "C3": "=VLOOKUP(9,A1:B1,2,FALSE)"}, {"C3": (NA, False)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_ROWS))
+def test_exact_match_lookups(name):
+    cells, expected = LOOKUP_ROWS[name]
+    engine = Engine(make_workbook({"S": cells}))
+    engine.run()
+    got = {a1: (engine.values[addr("S", a1)], addr("S", a1) in engine.tainted) for a1 in expected}
+    assert got == expected
+
+
+def test_every_lookup_row_is_documented():
+    assert len(documented_rows("Exact-match `VLOOKUP`")) == len(LOOKUP_ROWS)
+
 
 # a running total and a lookup over a column that holds the cycle B2 <-> C2
 # (A2 <-> B2 for the lookup)
@@ -57,7 +134,4 @@ def test_cycles(name):
 
 
 def test_every_cycle_row_is_documented():
-    text = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text(encoding="utf-8")
-    table = text[text.index("## Cycles"):]
-    rows = [line for line in table.splitlines() if line.startswith("| `") or line.startswith("| the same")]
-    assert len(rows) == len(CYCLE_ROWS)
+    assert len(documented_rows("Cycles")) == len(CYCLE_ROWS)
